@@ -1,14 +1,15 @@
 //! Guard overhead — the same long compiled-pebble walk run three ways:
 //! through the public ungoverned entry point (`run`, which monomorphizes
-//! over `NullGuard`), through `run_guarded` with an explicit `NullGuard`
-//! (must be indistinguishable from `run`), and through `run_guarded` with
-//! a metering `ResourceGuard`. The first two quantify the zero-cost claim;
+//! over `NullGuard`), through `run_in` with an explicit `NullGuard`
+//! (must be indistinguishable from `run`), and through `run_in` with a
+//! metering `ResourceGuard`. The first two quantify the zero-cost claim;
 //! the third prices full fuel/depth/gauge accounting.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use twq_automata::{run, run_guarded, Limits};
+use twq_automata::{run, run_in, Limits};
 use twq_bench::Bench;
 use twq_guard::{NullGuard, ResourceGuard};
+use twq_obs::NullCollector;
 use twq_sim::compile_logspace;
 use twq_xtm::machines;
 
@@ -27,20 +28,40 @@ fn bench(c: &mut Criterion) {
         // fuel must equal the step count.
         let base = run(&prog.program, &dt, Limits::long_walk());
         let mut meter = ResourceGuard::unlimited();
-        let governed = run_guarded(&prog.program, &dt, Limits::long_walk(), &mut meter)
-            .expect("unlimited guard never trips");
+        let governed = run_in(
+            &prog.program,
+            &dt,
+            Limits::long_walk(),
+            &mut NullCollector,
+            &mut meter,
+        )
+        .expect("unlimited guard never trips");
         assert_eq!(base.accepted(), governed.accepted());
         assert_eq!(base.steps, meter.fuel_spent());
         group.bench_with_input(BenchmarkId::new("ungoverned", n), &dt, |bch, dt| {
             bch.iter(|| run(&prog.program, dt, Limits::long_walk()))
         });
         group.bench_with_input(BenchmarkId::new("null_guard", n), &dt, |bch, dt| {
-            bch.iter(|| run_guarded(&prog.program, dt, Limits::long_walk(), &mut NullGuard))
+            bch.iter(|| {
+                run_in(
+                    &prog.program,
+                    dt,
+                    Limits::long_walk(),
+                    &mut NullCollector,
+                    &mut NullGuard,
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("resource_guard", n), &dt, |bch, dt| {
             bch.iter(|| {
                 let mut g = ResourceGuard::unlimited();
-                let r = run_guarded(&prog.program, dt, Limits::long_walk(), &mut g);
+                let r = run_in(
+                    &prog.program,
+                    dt,
+                    Limits::long_walk(),
+                    &mut NullCollector,
+                    &mut g,
+                );
                 (r.is_ok(), g.fuel_spent())
             })
         });

@@ -17,16 +17,13 @@
 //! * a move off the tree (the paper assumes automata never do this) is
 //!   [`Halt::Stuck`], as is having no applicable rule in a non-final state.
 
-use twq_exec::{BatchProfile, Pool};
+use twq_exec::Pool;
 use twq_guard::{
-    DepthKind, FaultKind, FaultSite, GaugeKind, Guard, GuardError, GuardStats, NullGuard,
-    ResourceGuard, TripReason, TwqError,
+    DepthKind, FaultKind, FaultSite, GaugeKind, Guard, GuardError, NullGuard, TripReason, TwqError,
 };
 use twq_logic::store::AttrEnv;
 use twq_logic::{eval_query, RegId, Relation, Store};
-use twq_obs::{
-    Collector, FoEval, HaltKind, MetricsCollector, NullCollector, RunMetrics, Trace, TraceCollector,
-};
+use twq_obs::{Collector, FoEval, HaltKind, NullCollector};
 use twq_tree::{DelimTree, NodeId, Tree};
 
 use crate::program::{Action, Dir, State, TwProgram};
@@ -164,13 +161,6 @@ pub fn move_dir(tree: &Tree, u: NodeId, d: Dir) -> Option<NodeId> {
     }
 }
 
-/// Trace recording attached to an [`Exec`]: a caller-owned buffer plus the
-/// entry cap that bounds pathological runs.
-struct TraceBuf<'a> {
-    buf: &'a mut Vec<TraceStep>,
-    cap: usize,
-}
-
 pub(crate) struct Exec<'a, C: Collector, G: Guard> {
     pub prog: &'a TwProgram,
     pub tree: &'a Tree,
@@ -185,7 +175,6 @@ pub(crate) struct Exec<'a, C: Collector, G: Guard> {
     /// First guard trip, if any — surfaced as `Err(TwqError::Guard)` by the
     /// guarded entry points; internally it unwinds as a limit-style [`Halt`].
     trip: Option<GuardError>,
-    trace: Option<TraceBuf<'a>>,
 }
 
 /// What happened to one computation chain.
@@ -225,7 +214,6 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
             collector,
             guard,
             trip: None,
-            trace: None,
         }
     }
 
@@ -313,14 +301,6 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
         let mut tracked: usize = 0;
         let mut local_step = 0u64;
         loop {
-            if let Some(tr) = &mut self.trace {
-                if tr.buf.len() < tr.cap {
-                    tr.buf.push(TraceStep {
-                        depth,
-                        config: cfg.clone(),
-                    });
-                }
-            }
             let tuples = cfg.store.total_tuples();
             self.max_store_tuples = self.max_store_tuples.max(tuples);
             self.collector.store_size(tuples);
@@ -484,50 +464,43 @@ pub fn run(prog: &TwProgram, delim: &DelimTree, limits: Limits) -> RunReport {
     run_with(prog, delim, limits, &mut NullCollector)
 }
 
-/// [`run`] with instrumentation: the collector sees every step (with node,
-/// state, and `atp` depth), chain and `atp` spans, guard/update
-/// evaluations, store sizes, and cycle-check bookkeeping.
+/// [`run`] observed by a collector and never governed. [`run_in`] subsumes
+/// it; it stays as the collector-only entry because the end-to-end
+/// benchmark drives the engine through it.
 pub fn run_with<C: Collector>(
     prog: &TwProgram,
     delim: &DelimTree,
     limits: Limits,
     collector: &mut C,
 ) -> RunReport {
-    let mut guard = NullGuard;
-    let mut exec = Exec::new(prog, delim.tree(), limits, collector, &mut guard);
-    exec.drive().expect("NullGuard never trips")
+    run_in(prog, delim, limits, collector, &mut NullGuard).expect("NullGuard never trips")
 }
 
-/// [`run`] under a resource [`Guard`]: the guard's fuel budget is charged
-/// once per transition, `atp` nesting is tracked as [`DepthKind::Atp`],
-/// store sizes and cycle-table sizes feed [`GaugeKind::StoreTuples`] /
-/// [`GaugeKind::Configs`], and fault plans may drop transitions or corrupt
-/// the store.
+/// [`run`] in an execution context: the collector `c` sees every step
+/// (with node, state, and `atp` depth), chain and `atp` spans, guard/update
+/// evaluations, store sizes, and cycle-check bookkeeping; the guard `g` is
+/// charged one fuel unit per transition, tracks `atp` nesting as
+/// [`DepthKind::Atp`], and sees store sizes and cycle-table sizes as
+/// [`GaugeKind::StoreTuples`] / [`GaugeKind::Configs`]. Fault plans may
+/// drop transitions or corrupt the store. A [`TraceCollector`] records the
+/// run's causal span tree; with `Trace::merge_batch` over `pool.scoped`
+/// the same holds for a batch.
 ///
 /// On a trip the run stops where it was and returns
 /// `Err(TwqError::Guard(_))` whose [`twq_guard::Partial`] records the steps
 /// taken and the store high-water mark — the `Result` analogue of a
-/// [`RunReport`] with `halt.is_limit()`.
-pub fn run_guarded<G: Guard>(
+/// [`RunReport`] with `halt.is_limit()`. The collector sees every step up
+/// to the trip.
+///
+/// [`TraceCollector`]: twq_obs::TraceCollector
+pub fn run_in<C: Collector, G: Guard>(
     prog: &TwProgram,
     delim: &DelimTree,
     limits: Limits,
-    guard: &mut G,
+    c: &mut C,
+    g: &mut G,
 ) -> Result<RunReport, TwqError> {
-    run_guarded_with(prog, delim, limits, guard, &mut NullCollector)
-}
-
-/// [`run_guarded`] with instrumentation: governance and observability
-/// compose — the collector sees every step up to the trip.
-pub fn run_guarded_with<C: Collector, G: Guard>(
-    prog: &TwProgram,
-    delim: &DelimTree,
-    limits: Limits,
-    guard: &mut G,
-    collector: &mut C,
-) -> Result<RunReport, TwqError> {
-    let mut exec = Exec::new(prog, delim.tree(), limits, collector, guard);
-    exec.drive()
+    Exec::new(prog, delim.tree(), limits, c, g).drive()
 }
 
 /// Convenience: delimit `tree` and run.
@@ -535,253 +508,15 @@ pub fn run_on_tree(prog: &TwProgram, tree: &Tree, limits: Limits) -> RunReport {
     run(prog, &DelimTree::build(tree), limits)
 }
 
-/// [`run_on_tree`] with instrumentation.
-pub fn run_on_tree_with<C: Collector>(
-    prog: &TwProgram,
-    tree: &Tree,
-    limits: Limits,
-    collector: &mut C,
-) -> RunReport {
-    run_with(prog, &DelimTree::build(tree), limits, collector)
-}
-
-/// Convenience: delimit `tree` and run under a guard.
-pub fn run_on_tree_guarded<G: Guard>(
-    prog: &TwProgram,
-    tree: &Tree,
-    limits: Limits,
-    guard: &mut G,
-) -> Result<RunReport, TwqError> {
-    run_guarded(prog, &DelimTree::build(tree), limits, guard)
-}
-
 /// Run `prog` on every tree in `trees`, fanned across `pool`. Reports come
 /// back in input order and are identical to a serial [`run_on_tree`] loop —
-/// with a 1-worker pool it *is* that loop.
+/// with a 1-worker pool it *is* that loop. An observed or governed batch is
+/// `pool.scoped` over [`run_in`], folding the per-item results in input
+/// order (`RunMetrics::merge`, `GuardStats::merge`, `Trace::merge_batch`).
+///
+/// [`run_in`]: run_in
 pub fn run_batch(prog: &TwProgram, trees: &[Tree], limits: Limits, pool: &Pool) -> Vec<RunReport> {
     pool.scoped(trees.len(), |i| run_on_tree(prog, &trees[i], limits))
-}
-
-/// [`run_batch`] with per-run instrumentation: each tree gets its own
-/// metrics collector and the per-worker results are
-/// [merged](RunMetrics::merge) in input order, so the aggregate equals what
-/// one collector observing the serial loop would report (up to phase
-/// ordering).
-pub fn run_batch_with_metrics(
-    prog: &TwProgram,
-    trees: &[Tree],
-    limits: Limits,
-    pool: &Pool,
-) -> (Vec<RunReport>, RunMetrics) {
-    let runs = pool.scoped(trees.len(), |i| {
-        let mut c = MetricsCollector::new();
-        let report = run_on_tree_with(prog, &trees[i], limits, &mut c);
-        (report, c.into_metrics())
-    });
-    let mut merged = RunMetrics::new();
-    let mut reports = Vec::with_capacity(runs.len());
-    for (report, m) in runs {
-        merged.merge(&m);
-        reports.push(report);
-    }
-    (reports, merged)
-}
-
-/// [`run_batch`] under per-run resource guards: every tree runs under a
-/// fresh guard from `make_guard`, so each item's verdict — including any
-/// [`TwqError::Guard`] trip — is exactly what the serial loop produces with
-/// the same factory.
-pub fn run_batch_guarded<G, F>(
-    prog: &TwProgram,
-    trees: &[Tree],
-    limits: Limits,
-    pool: &Pool,
-    make_guard: F,
-) -> Vec<Result<RunReport, TwqError>>
-where
-    G: Guard,
-    F: Fn() -> G + Sync,
-{
-    pool.scoped(trees.len(), |i| {
-        let mut g = make_guard();
-        run_on_tree_guarded(prog, &trees[i], limits, &mut g)
-    })
-}
-
-/// [`run_batch_with_metrics`] plus a [`BatchProfile`]: per-item wall-clock
-/// latencies (input order) and the pool's per-worker telemetry. Reports
-/// and merged metrics are identical to the unprofiled entry points; only
-/// the timing and scheduling bookkeeping is extra.
-pub fn run_batch_profiled(
-    prog: &TwProgram,
-    trees: &[Tree],
-    limits: Limits,
-    pool: &Pool,
-) -> (Vec<RunReport>, RunMetrics, BatchProfile) {
-    let (runs, stats) = pool.scoped_with_stats(trees.len(), |i| {
-        let mut c = MetricsCollector::new();
-        let t0 = std::time::Instant::now();
-        let report = run_on_tree_with(prog, &trees[i], limits, &mut c);
-        let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        (report, c.into_metrics(), ns)
-    });
-    let mut merged = RunMetrics::new();
-    let mut reports = Vec::with_capacity(runs.len());
-    let mut latencies_ns = Vec::with_capacity(runs.len());
-    for (report, m, ns) in runs {
-        merged.merge(&m);
-        reports.push(report);
-        latencies_ns.push(ns);
-    }
-    (
-        reports,
-        merged,
-        BatchProfile {
-            latencies_ns,
-            stats,
-        },
-    )
-}
-
-/// [`run_batch_guarded`] specialized to [`ResourceGuard`]s, additionally
-/// returning the items' [`GuardStats`] merged in input order — fuel
-/// charged and trips by reason across the whole batch.
-pub fn run_batch_governed<F>(
-    prog: &TwProgram,
-    trees: &[Tree],
-    limits: Limits,
-    pool: &Pool,
-    make_guard: F,
-) -> (Vec<Result<RunReport, TwqError>>, GuardStats)
-where
-    F: Fn() -> ResourceGuard + Sync,
-{
-    let runs = pool.scoped(trees.len(), |i| {
-        let mut g = make_guard();
-        let verdict = run_on_tree_guarded(prog, &trees[i], limits, &mut g);
-        (verdict, g.stats())
-    });
-    let mut merged = GuardStats::default();
-    let mut verdicts = Vec::with_capacity(runs.len());
-    for (verdict, s) in runs {
-        merged.merge(&s);
-        verdicts.push(verdict);
-    }
-    (verdicts, merged)
-}
-
-/// One step of a recorded trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceStep {
-    /// `atp` nesting depth (0 = main computation).
-    pub depth: u32,
-    /// The configuration *before* the step.
-    pub config: Config,
-}
-
-/// Run while recording the visited configurations (capped at `max_trace`
-/// entries to keep pathological runs bounded). Intended for debugging and
-/// teaching — the trace makes the walking visible.
-pub fn run_traced(
-    prog: &TwProgram,
-    delim: &DelimTree,
-    limits: Limits,
-    max_trace: usize,
-) -> (RunReport, Vec<TraceStep>) {
-    run_traced_with(prog, delim, limits, max_trace, &mut NullCollector)
-}
-
-/// [`run_traced`] with instrumentation. One single pass drives the chain
-/// runner with its trace hook armed, so the report and the trace come from
-/// the same execution.
-pub fn run_traced_with<C: Collector>(
-    prog: &TwProgram,
-    delim: &DelimTree,
-    limits: Limits,
-    max_trace: usize,
-    collector: &mut C,
-) -> (RunReport, Vec<TraceStep>) {
-    let mut trace = Vec::new();
-    let mut guard = NullGuard;
-    let mut exec = Exec::new(prog, delim.tree(), limits, collector, &mut guard);
-    exec.trace = Some(TraceBuf {
-        buf: &mut trace,
-        cap: max_trace,
-    });
-    let report = exec.drive().expect("NullGuard never trips");
-    (report, trace)
-}
-
-/// Run while recording a causal [`Trace`] span tree: chain and `atp`
-/// spans with walk paths, atp selection frontiers, and subtree verdicts,
-/// each addressed by a deterministic causal ID. Recording happens on one
-/// thread, so the trace is a pure function of `(prog, delim, limits)`.
-pub fn trace_run(prog: &TwProgram, delim: &DelimTree, limits: Limits) -> (RunReport, Trace) {
-    let mut c = TraceCollector::new();
-    let report = run_with(prog, delim, limits, &mut c);
-    (report, c.finish("run"))
-}
-
-/// [`trace_run`] under a resource [`Guard`]: the trace additionally
-/// carries a `Trip` span (with the rendered [`TripReason`]) at the exact
-/// point the guard fired.
-pub fn trace_run_guarded<G: Guard>(
-    prog: &TwProgram,
-    delim: &DelimTree,
-    limits: Limits,
-    guard: &mut G,
-) -> (Result<RunReport, TwqError>, Trace) {
-    let mut c = TraceCollector::new();
-    let verdict = run_guarded_with(prog, delim, limits, guard, &mut c);
-    (verdict, c.finish("run_guarded"))
-}
-
-/// [`run_batch`] while recording one causal trace for the whole batch:
-/// each tree is traced independently on whichever worker runs it, then
-/// the per-item traces are merged in input order ([`Pool::scoped`]
-/// returns results positionally) — so the merged trace is byte-identical
-/// for any pool size, including the serial one.
-pub fn trace_batch(
-    prog: &TwProgram,
-    trees: &[Tree],
-    limits: Limits,
-    pool: &Pool,
-) -> (Vec<RunReport>, Trace) {
-    let runs = pool.scoped(trees.len(), |i| {
-        let mut c = TraceCollector::new();
-        let report = run_on_tree_with(prog, &trees[i], limits, &mut c);
-        (report, c.finish("run"))
-    });
-    let mut reports = Vec::with_capacity(runs.len());
-    let mut traces = Vec::with_capacity(runs.len());
-    for (report, trace) in runs {
-        reports.push(report);
-        traces.push(trace);
-    }
-    (reports, Trace::merge_batch("run_batch", traces))
-}
-
-/// Render a trace for human reading.
-pub fn display_trace(
-    trace: &[TraceStep],
-    prog: &TwProgram,
-    delim: &DelimTree,
-    vocab: &twq_tree::Vocab,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for step in trace {
-        let label = delim.tree().label(step.config.node).display(vocab);
-        let _ = writeln!(
-            out,
-            "{}[{} @ {} ({label})] store: {} tuples",
-            "  ".repeat(step.depth as usize),
-            prog.state_name(step.config.state),
-            step.config.node,
-            step.config.store.total_tuples(),
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1082,7 +817,14 @@ mod tests {
             cycle_check_interval: 0,
         };
         let mut g = ResourceGuard::unlimited().with_budget(10);
-        let err = run_on_tree_guarded(&p, &t, limits, &mut g).unwrap_err();
+        let err = run_in(
+            &p,
+            &DelimTree::build(&t),
+            limits,
+            &mut NullCollector,
+            &mut g,
+        )
+        .unwrap_err();
         let trip = err.guard().expect("budget trip");
         assert_eq!(trip.reason, TripReason::Budget { limit: 10 });
         assert!(trip.partial.fuel_spent >= 10);
@@ -1096,12 +838,12 @@ mod tests {
         let t = parse_tree("sigma[a=9](delta[a=9](sigma[a=1],sigma[a=1]))", &mut vocab).unwrap();
         let dt = DelimTree::build(&t);
         let plain = run(&ex.program, &dt, Limits::default());
-        let mut ng = NullGuard;
-        let guarded = run_guarded(&ex.program, &dt, Limits::default(), &mut ng).unwrap();
+        let mut nc = NullCollector;
+        let guarded = run_in(&ex.program, &dt, Limits::default(), &mut nc, &mut NullGuard).unwrap();
         assert_eq!(plain, guarded);
         // A generously-budgeted ResourceGuard agrees too.
         let mut rg = twq_guard::ResourceGuard::unlimited().with_budget(1_000_000);
-        let guarded = run_guarded(&ex.program, &dt, Limits::default(), &mut rg).unwrap();
+        let guarded = run_in(&ex.program, &dt, Limits::default(), &mut nc, &mut rg).unwrap();
         assert_eq!(plain, guarded);
         assert_eq!(rg.fuel_spent(), plain.steps);
     }
@@ -1111,21 +853,18 @@ mod tests {
         let mut vocab = Vocab::new();
         let ex = crate::examples::example_32(&mut vocab);
         let t = parse_tree("sigma[a=9](delta[a=9](sigma[a=1],sigma[a=1]))", &mut vocab).unwrap();
-        let dt = twq_tree::DelimTree::build(&t);
-        let (report, trace) = run_traced(&ex.program, &dt, Limits::default(), 10_000);
-        assert!(report.accepted());
-        assert!(!trace.is_empty());
-        // The trace starts at the initial configuration, depth 0.
-        assert_eq!(trace[0].depth, 0);
-        assert_eq!(trace[0].config.state, ex.program.initial());
-        // Subcomputations appear at depth ≥ 1.
-        assert!(trace.iter().any(|s| s.depth >= 1));
-        // Rendering mentions the delimiter root.
-        let shown = display_trace(&trace, &ex.program, &dt, &vocab);
-        assert!(shown.contains("▽"), "{shown}");
-        // The cap truncates.
-        let (_, short) = run_traced(&ex.program, &dt, Limits::default(), 3);
-        assert_eq!(short.len(), 3);
+        let dt = DelimTree::build(&t);
+        let (report, trace) = twq_obs::TraceCollector::record("run", |c| {
+            run_with(&ex.program, &dt, Limits::default(), c)
+        });
+        assert_eq!(report, run(&ex.program, &dt, Limits::default()));
+        assert_eq!(
+            trace.verdict(),
+            Some(twq_obs::Verdict::Halt(HaltKind::Accept))
+        );
+        // The main chain's subcomputations appear as nested spans.
+        assert!(trace.size() > 1);
+        assert!(trace.render().contains("chain"), "{}", trace.render());
     }
 
     #[test]
@@ -1149,10 +888,18 @@ mod tests {
             let pool = Pool::new(workers);
             let batch = run_batch(&ex.program, &trees, Limits::default(), &pool);
             assert_eq!(batch, serial, "workers={workers}");
-            let (reports, metrics) =
-                run_batch_with_metrics(&ex.program, &trees, Limits::default(), &pool);
-            assert_eq!(reports, serial, "workers={workers}");
-            assert_eq!(metrics.steps, serial.iter().map(|r| r.steps).sum::<u64>());
+            let metered = pool.scoped(trees.len(), |i| {
+                let mut mc = twq_obs::MetricsCollector::new();
+                let dt = DelimTree::build(&trees[i]);
+                let r = run_with(&ex.program, &dt, Limits::default(), &mut mc);
+                (r, mc.into_metrics())
+            });
+            let mut steps = 0;
+            for (i, (r, m)) in metered.iter().enumerate() {
+                assert_eq!(*r, serial[i], "workers={workers}");
+                steps += m.steps;
+            }
+            assert_eq!(steps, serial.iter().map(|r| r.steps).sum::<u64>());
         }
     }
 
@@ -1170,16 +917,20 @@ mod tests {
         .collect();
         // A budget that some runs exhaust and some do not.
         let make = || ResourceGuard::unlimited().with_budget(5);
-        let serial: Vec<Result<RunReport, TwqError>> = trees
-            .iter()
-            .map(|t| {
-                let mut g = make();
-                run_on_tree_guarded(&ex.program, t, Limits::default(), &mut g)
-            })
-            .collect();
+        let governed = |t: &Tree| {
+            let dt = DelimTree::build(t);
+            run_in(
+                &ex.program,
+                &dt,
+                Limits::default(),
+                &mut NullCollector,
+                &mut make(),
+            )
+        };
+        let serial: Vec<Result<RunReport, TwqError>> = trees.iter().map(governed).collect();
         for workers in [1, 3] {
             let pool = Pool::new(workers);
-            let batch = run_batch_guarded(&ex.program, &trees, Limits::default(), &pool, make);
+            let batch = pool.scoped(trees.len(), |i| governed(&trees[i]));
             assert_eq!(batch.len(), serial.len());
             for (b, s) in batch.iter().zip(&serial) {
                 match (b, s) {

@@ -20,7 +20,7 @@
 use twq_guard::{DepthKind, Guard, GuardError, NullGuard, TwqError};
 use twq_logic::store::sbuild;
 use twq_logic::{RegId, Relation, SFormula, Var};
-use twq_obs::{Collector, NullCollector, PhaseTimer};
+use twq_obs::{Collector, PhaseTimer};
 use twq_tree::{AttrId, Label, Value};
 
 use crate::program::{Action, Dir, ProgramError, State, TwProgram, TwProgramBuilder};
@@ -145,56 +145,43 @@ impl WalkerBuilder {
     /// of the delimited tree; falling off the end of the body is a reject
     /// (end with [`Instr::Accept`] to accept).
     pub fn compile(&self, body: &[Instr]) -> Result<TwProgram, ProgramError> {
-        self.compile_with(body, &mut NullCollector)
+        self.lower(body, &mut NullGuard).0.build()
     }
 
-    /// [`WalkerBuilder::compile`] with instrumentation: reports the
-    /// `twir.compile` phase timing and the `twir.states` / `twir.rules`
-    /// counters of the produced program.
-    pub fn compile_with<C: Collector>(
+    /// [`WalkerBuilder::compile`] in an execution context. The collector
+    /// sees the `twir.compile` phase timing and the `run/twir.states` /
+    /// `run/twir.rules` counters of the produced program. The guard is
+    /// charged one fuel unit per compiled instruction, with body nesting
+    /// tracked as [`DepthKind::Compile`]: compiled walkers can be enormous
+    /// (the Theorem 7.1 pebble constructions emit thousands of states), so
+    /// compilation itself is a governed phase.
+    pub fn compile_in<C: Collector, G: Guard>(
         &self,
         body: &[Instr],
-        collector: &mut C,
-    ) -> Result<TwProgram, ProgramError> {
-        let mut guard = NullGuard;
+        c: &mut C,
+        g: &mut G,
+    ) -> Result<TwProgram, TwqError> {
         let timer = C::ENABLED.then(|| PhaseTimer::start("twir.compile"));
-        let mut c = Compiler {
-            b: TwProgramBuilder::new(),
-            labels: &self.labels,
-            counter: 0,
-            guard: &mut guard,
-            trip: None,
-        };
-        for init in &self.regs {
-            c.b.register(init.arity(), init.clone());
+        let (b, trip) = self.lower(body, g);
+        if let Some(e) = trip {
+            return Err(TwqError::Guard(e));
         }
-        let q_f = c.b.state("qF");
-        c.b.final_state(q_f);
-        // Fall-through continuation: a state with no rules (reject).
-        let dead = c.b.state("halt");
-        let entry = c.compile_seq(body, dead, q_f);
-        c.b.initial(entry);
-        let prog = c.b.build();
+        let prog = b.build();
         if let Some(timer) = timer {
-            timer.stop(collector);
+            timer.stop(c);
         }
-        if let Ok(p) = &prog {
-            collector.counter("twir.states", p.state_count() as u64);
-            collector.counter("twir.rules", p.rules().len() as u64);
-        }
-        prog
+        let p = prog.map_err(|e| TwqError::invalid("twir::compile", e.to_string()))?;
+        c.counter("run/twir.states", p.state_count() as u64);
+        c.counter("run/twir.rules", p.rules().len() as u64);
+        Ok(p)
     }
 
-    /// [`WalkerBuilder::compile`] under a resource [`Guard`]: one fuel unit
-    /// per compiled instruction, body nesting tracked as
-    /// [`DepthKind::Compile`]. Compiled walkers can be enormous (the
-    /// Theorem 7.1 pebble constructions emit thousands of states), so
-    /// compilation itself is a governed phase.
-    pub fn compile_guarded<G: Guard>(
+    /// Lower `body` into rules, stopping at the guard's first trip.
+    fn lower<G: Guard>(
         &self,
         body: &[Instr],
         guard: &mut G,
-    ) -> Result<TwProgram, TwqError> {
+    ) -> (TwProgramBuilder, Option<GuardError>) {
         let mut c = Compiler {
             b: TwProgramBuilder::new(),
             labels: &self.labels,
@@ -207,14 +194,11 @@ impl WalkerBuilder {
         }
         let q_f = c.b.state("qF");
         c.b.final_state(q_f);
+        // Fall-through continuation: a state with no rules (reject).
         let dead = c.b.state("halt");
         let entry = c.compile_seq(body, dead, q_f);
         c.b.initial(entry);
-        if let Some(e) = c.trip {
-            return Err(TwqError::Guard(e));
-        }
-        c.b.build()
-            .map_err(|e| TwqError::invalid("twir::compile", e.to_string()))
+        (c.b, c.trip)
     }
 }
 

@@ -84,9 +84,9 @@ impl Pool {
     /// propagates to the caller after the scope joins.
     ///
     /// The index-order guarantee is what makes per-job observability
-    /// worker-independent: `twq-core`'s `trace_batch` records one trace per
-    /// job on whichever worker runs it and merges them positionally, so the
-    /// merged trace is byte-identical for every worker count.
+    /// worker-independent: a traced batch records one trace per job on
+    /// whichever worker runs it and merges them positionally, so the merged
+    /// trace is byte-identical for every worker count.
     pub fn scoped<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -374,26 +374,6 @@ impl PoolStats {
     }
 }
 
-/// Per-item wall-clock latencies plus pool telemetry for one profiled
-/// batch — what `run_batch_profiled` and friends hand back to the
-/// harness, which folds the latencies into an `obs` histogram.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchProfile {
-    /// Wall-clock nanoseconds per job, in index order.
-    pub latencies_ns: Vec<u64>,
-    /// The batch's per-worker telemetry.
-    pub stats: PoolStats,
-}
-
-impl BatchProfile {
-    /// Fold another batch's profile into this one: latencies concatenate
-    /// (input order), telemetry merges worker-wise.
-    pub fn merge(&mut self, other: &BatchProfile) {
-        self.latencies_ns.extend_from_slice(&other.latencies_ns);
-        self.stats.merge(&other.stats);
-    }
-}
-
 /// Take the next index from the front of `range` (owner side).
 fn pop_front(range: &AtomicU64) -> Option<usize> {
     let mut cur = range.load(Ordering::Acquire);
@@ -557,26 +537,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.workers.len(), 4);
         assert_eq!(a.totals().tasks, total_before);
-    }
-
-    #[test]
-    fn batch_profiles_concatenate() {
-        let mut p = BatchProfile {
-            latencies_ns: vec![5, 6],
-            stats: PoolStats::default(),
-        };
-        let q = BatchProfile {
-            latencies_ns: vec![7],
-            stats: PoolStats {
-                workers: vec![WorkerStats {
-                    tasks: 1,
-                    ..WorkerStats::default()
-                }],
-            },
-        };
-        p.merge(&q);
-        assert_eq!(p.latencies_ns, vec![5, 6, 7]);
-        assert_eq!(p.stats.totals().tasks, 1);
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //!
 //! | pair | compared |
 //! |------|----------|
-//! | `run` vs `run_guarded(unlimited)` | full `RunReport` |
+//! | `run` vs `run_in(NullCollector, unlimited)` | full `RunReport` |
 //! | `run` vs `run_batch` | full `RunReport`, every batch slot |
 //! | `run` vs `run_routed` | acceptance (skipped on limit halts) |
 //! | `run` vs `run(prune(P))` | acceptance (skipped on limit halts) |
-//! | serial guarded vs `run_batch_guarded` | `Ok` report / trip reason + injected kind, per budget axis |
+//! | serial `run_in(guard)` vs `pool.scoped(run_in(guard))` | `Ok` report / trip reason + injected kind, per budget axis |
 //! | `eval_sentence` vs `_memo` vs `_par` | boolean verdict |
 //! | `select` vs `select_memo` vs `select_batch` vs `ExistsFormula::select` | node sets, every context node |
-//! | `select_guarded` vs `select_batch_guarded` | `Ok` set / trip reason, per node |
+//! | serial `select_in(guard)` vs `pool.scoped(select_in(guard))` | `Ok` set / trip reason, per node |
 //! | `eval_sentence` vs `eval_sentence_rewritten` | boolean verdict |
 //! | `select` vs `fo_select_rewritten` vs `normalize_exists(φ).select` | node sets, every context node |
 //! | `eval_from` vs `eval_from_rewritten` | node sets, every context node |
@@ -23,24 +23,23 @@
 //! | near-miss builder spec | rejected with the intended `ProgramError` |
 //! | smelly program | analyzer diagnostics non-empty or pruner fired |
 //!
+//! A pair of contexts — a collector/guard pair handed to the same `_in`
+//! entry, serially or fanned across a pool — is a pair like any other.
 //! All comparisons are exact: evaluators disagreeing on *how* they fail
 //! (trip reason, injected fault kind) count as discrepancies just like
 //! wrong answers.
 
 use twq_analyze::{analyze, prune, run_routed};
-use twq_automata::{
-    run, run_batch, run_batch_guarded, run_guarded, trace_batch, trace_run, trace_run_guarded,
-    Limits, TwProgram,
-};
+use twq_automata::{run, run_batch, run_in, run_with, Limits, TwProgram};
 use twq_exec::Pool;
-use twq_guard::{GuardError, ResourceGuard, TwqError};
+use twq_guard::{Guard, GuardError, ResourceGuard, TwqError};
 use twq_index::{fo_select_routed, select_indexed, CostModel, Force, TreeIndex};
 use twq_logic::fo::build::exists;
 use twq_logic::{
-    eval_sentence, eval_sentence_memo, eval_sentence_par, select, select_batch,
-    select_batch_guarded, select_guarded, select_memo,
+    eval_sentence, eval_sentence_memo, eval_sentence_par, select, select_batch, select_in,
+    select_memo,
 };
-use twq_obs::{diff as trace_diff, Divergence, Trace, Verdict};
+use twq_obs::{diff as trace_diff, Divergence, NullCollector, Trace, TraceCollector, Verdict};
 use twq_rw::{
     eval_from_rewritten, eval_pairs_rewritten, eval_sentence_rewritten, fo_select_rewritten,
     normalize_exists, run_query_indexed, run_query_planned, run_query_routed, RewriteCtx,
@@ -162,6 +161,16 @@ fn verdict_str<T: std::fmt::Debug>(v: &Result<T, TwqError>) -> String {
     }
 }
 
+/// The causal trace of a plain run.
+pub(crate) fn traced_run(prog: &TwProgram, delim: &DelimTree) -> Trace {
+    TraceCollector::record("run", |c| run_with(prog, delim, FUZZ_LIMITS, c)).1
+}
+
+/// The causal trace of a run under `guard`.
+fn traced_run_in<G: Guard>(prog: &TwProgram, delim: &DelimTree, guard: &mut G) -> Trace {
+    TraceCollector::record("run_in", |c| run_in(prog, delim, FUZZ_LIMITS, c, guard)).1
+}
+
 /// Run every evaluator pair applicable to a program case.
 pub fn check_program_case(
     case: &ProgramCase,
@@ -173,15 +182,21 @@ pub fn check_program_case(
     let base = run(prog, &delim, FUZZ_LIMITS);
 
     // 1. An unlimited guard must be invisible.
-    let guarded = run_guarded(prog, &delim, FUZZ_LIMITS, &mut ResourceGuard::unlimited());
+    let mut unlimited = ResourceGuard::unlimited();
+    let guarded = run_in(
+        prog,
+        &delim,
+        FUZZ_LIMITS,
+        &mut NullCollector,
+        &mut unlimited,
+    );
     match guarded {
         Ok(ref r) if *r == base => {}
         other => {
-            let (_, lt) = trace_run(prog, &delim, FUZZ_LIMITS);
-            let (_, rt) =
-                trace_run_guarded(prog, &delim, FUZZ_LIMITS, &mut ResourceGuard::unlimited());
+            let lt = traced_run(prog, &delim);
+            let rt = traced_run_in(prog, &delim, &mut ResourceGuard::unlimited());
             return Some(Discrepancy::diverging(
-                "run vs run_guarded(unlimited)",
+                "run vs run_in(unlimited)",
                 format!("base={base:?} guarded={}", verdict_str(&other)),
                 &lt,
                 &rt,
@@ -196,9 +211,12 @@ pub fn check_program_case(
         .enumerate()
     {
         if *r != base {
-            let (_, serial) = trace_run(prog, &delim, FUZZ_LIMITS);
+            let serial = traced_run(prog, &delim);
             let lt = Trace::merge_batch("run x3", vec![serial.clone(), serial.clone(), serial]);
-            let (_, rt) = trace_batch(prog, &trees, FUZZ_LIMITS, pool);
+            let items = pool.scoped(trees.len(), |i| {
+                traced_run(prog, &DelimTree::build(&trees[i]))
+            });
+            let rt = Trace::merge_batch("run_batch", items);
             return Some(Discrepancy::diverging(
                 "run vs run_batch",
                 format!("slot {i}: base={base:?} batch={r:?}"),
@@ -222,7 +240,7 @@ pub fn check_program_case(
             // The routed graph evaluator has no collector seam: its side is
             // a verdict-only trace, so the divergence pinpoints the root
             // acceptance flip (left/right_accepted carry the evidence).
-            let (_, lt) = trace_run(prog, &delim, FUZZ_LIMITS);
+            let lt = traced_run(prog, &delim);
             let rt = Trace::verdict_only(
                 "run_routed",
                 Verdict::Bool(routed_accepted),
@@ -251,8 +269,8 @@ pub fn check_program_case(
         let pruned = prune(prog);
         let pruned_run = run(&pruned.program, &delim, FUZZ_LIMITS);
         if pruned_run.accepted() != base.accepted() {
-            let (_, lt) = trace_run(prog, &delim, FUZZ_LIMITS);
-            let (_, mut rt) = trace_run(&pruned.program, &delim, FUZZ_LIMITS);
+            let lt = traced_run(prog, &delim);
+            let mut rt = traced_run(&pruned.program, &delim);
             rt.label = "run(prune)".to_owned();
             return Some(Discrepancy::diverging(
                 "run vs run(prune)",
@@ -269,30 +287,32 @@ pub fn check_program_case(
         }
     }
 
-    // 5. Guarded serial vs guarded batch, one axis at a time plus the
+    // 5. Serial vs pooled guarded runs, one axis at a time plus the
     // combined spec — identical verdicts including trip reasons and
     // injected fault kinds.
     for spec in budget_axes(&case.budget) {
-        let serial: Vec<_> = trees
-            .iter()
-            .map(|t| {
-                let mut g = spec.guard();
-                run_guarded(prog, &DelimTree::build(t), FUZZ_LIMITS, &mut g)
-            })
-            .collect();
-        let batch = run_batch_guarded(prog, &trees, FUZZ_LIMITS, pool, || spec.guard());
+        let governed = |t: &twq_tree::Tree| {
+            let mut g = spec.guard();
+            run_in(
+                prog,
+                &DelimTree::build(t),
+                FUZZ_LIMITS,
+                &mut NullCollector,
+                &mut g,
+            )
+        };
+        let serial: Vec<_> = trees.iter().map(governed).collect();
+        let batch = pool.scoped(trees.len(), |i| governed(&trees[i]));
         for (i, (s, b)) in serial.iter().zip(&batch).enumerate() {
             if !verdicts_agree(s, b) {
-                let mut g = spec.guard();
-                let (_, lt) = trace_run_guarded(prog, &delim, FUZZ_LIMITS, &mut g);
+                let lt = traced_run_in(prog, &delim, &mut spec.guard());
                 let rv = match b {
                     Ok(r) => Verdict::Halt(r.halt.kind()),
                     Err(_) => Verdict::Trip,
                 };
-                let rt =
-                    Trace::verdict_only("run_batch_guarded", rv, &format!("slot {i}, {spec:?}"));
+                let rt = Trace::verdict_only("pooled run_in", rv, &format!("slot {i}, {spec:?}"));
                 return Some(Discrepancy::diverging(
-                    "run_guarded vs run_batch_guarded",
+                    "run_in vs pooled run_in",
                     format!(
                         "spec={spec:?} slot {i}: serial={} batch={}",
                         verdict_str(s),
@@ -308,11 +328,10 @@ pub fn check_program_case(
         if spec.faults.is_none() {
             if let Ok(r) = &serial[0] {
                 if *r != base {
-                    let (_, lt) = trace_run(prog, &delim, FUZZ_LIMITS);
-                    let mut g = spec.guard();
-                    let (_, rt) = trace_run_guarded(prog, &delim, FUZZ_LIMITS, &mut g);
+                    let lt = traced_run(prog, &delim);
+                    let rt = traced_run_in(prog, &delim, &mut spec.guard());
                     return Some(Discrepancy::diverging(
-                        "run vs run_guarded(limited)",
+                        "run vs run_in(limited)",
                         format!("spec={spec:?}: base={base:?} guarded={r:?}"),
                         &lt,
                         &rt,
@@ -559,21 +578,27 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
         }
     }
 
-    // 5. Guarded selection: serial fresh-guard loop vs batch factory.
+    // 5. Guarded selection: serial fresh-guard loop vs the same loop
+    // fanned across the pool.
     if let Some(fuel) = case.fuel {
-        let make = || ResourceGuard::unlimited().with_budget(fuel);
-        let serial: Vec<_> = us
-            .iter()
-            .map(|&u| {
-                let mut g = make();
-                select_guarded(tree, &formula, phi.x(), u, phi.y(), &mut g)
-            })
-            .collect();
-        let batch = select_batch_guarded(tree, &formula, phi.x(), &us, phi.y(), pool, make);
+        let governed = |u: NodeId| {
+            let mut g = ResourceGuard::unlimited().with_budget(fuel);
+            select_in(
+                tree,
+                &formula,
+                phi.x(),
+                u,
+                phi.y(),
+                &mut NullCollector,
+                &mut g,
+            )
+        };
+        let serial: Vec<_> = us.iter().map(|&u| governed(u)).collect();
+        let batch = pool.scoped(us.len(), |i| governed(us[i]));
         for (i, (s, b)) in serial.iter().zip(&batch).enumerate() {
             if !verdicts_agree(s, b) {
                 return Some(Discrepancy::new(
-                    "select_guarded vs select_batch_guarded",
+                    "select_in vs pooled select_in",
                     format!(
                         "fuel={fuel} node {}: serial={} batch={}",
                         us[i],

@@ -7,14 +7,14 @@
 //! parent/sibling chains.
 //!
 //! That `O(|t|^q)` is exactly why every entry point here returns
-//! `Result<_, TwqError>` and has a `*_guarded` variant: a hostile sentence
-//! with a handful of nested quantifiers is a denial-of-service on any
-//! non-trivial tree. Guarded evaluation charges one fuel unit per quantifier
-//! binding and per atom, and tracks quantifier nesting as
+//! `Result<_, TwqError>` and has an `*_in` variant taking a guard: a hostile
+//! sentence with a handful of nested quantifiers is a denial-of-service on
+//! any non-trivial tree. Guarded evaluation charges one fuel unit per
+//! quantifier binding and per atom, and tracks quantifier nesting as
 //! [`DepthKind::Quantifier`].
 
 use twq_guard::{DepthKind, Guard, NullGuard, TwqError};
-use twq_obs::{Collector, FoEval, NullCollector, Trace, TraceCollector, Verdict};
+use twq_obs::{Collector, FoEval, NullCollector};
 use twq_tree::{NodeId, NodeSet, Tree};
 
 use crate::fo::{Formula, TreeAtom, Var};
@@ -104,33 +104,16 @@ pub fn eval_atom(tree: &Tree, atom: &TreeAtom, asg: &Assignment) -> Result<bool,
 /// # Errors
 /// [`TwqError::Invalid`] on an unbound variable.
 pub fn eval(tree: &Tree, formula: &Formula, asg: &mut Assignment) -> Result<bool, TwqError> {
-    eval_with(tree, formula, asg, &mut NullCollector)
+    eval_in(tree, formula, asg, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`eval`] with instrumentation: reports one [`FoEval::Atom`] per atom
-/// evaluation, so a metrics collector sees the model checker's true cost
-/// (which quantifier nesting multiplies).
-pub fn eval_with<C: Collector>(
-    tree: &Tree,
-    formula: &Formula,
-    asg: &mut Assignment,
-    c: &mut C,
-) -> Result<bool, TwqError> {
-    eval_inner(tree, formula, asg, c, &mut NullGuard)
-}
-
-/// [`eval`] under a resource [`Guard`]: one fuel unit per atom and per
-/// quantifier binding, nesting tracked as [`DepthKind::Quantifier`].
-pub fn eval_guarded<G: Guard>(
-    tree: &Tree,
-    formula: &Formula,
-    asg: &mut Assignment,
-    guard: &mut G,
-) -> Result<bool, TwqError> {
-    eval_inner(tree, formula, asg, &mut NullCollector, guard)
-}
-
-fn eval_inner<C: Collector, G: Guard>(
+/// [`eval`] in an execution context. The collector sees one
+/// [`FoEval::Atom`] per atom evaluation — the model checker's true cost,
+/// which quantifier nesting multiplies — and one quantifier span per
+/// `∃`/`∀` with its deciding witness. The guard is charged one fuel unit
+/// per atom and per quantifier binding, with nesting tracked as
+/// [`DepthKind::Quantifier`].
+pub fn eval_in<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
     asg: &mut Assignment,
@@ -147,10 +130,10 @@ fn eval_inner<C: Collector, G: Guard>(
             }
             eval_atom(tree, a, asg)
         }
-        Formula::Not(f) => Ok(!eval_inner(tree, f, asg, c, g)?),
+        Formula::Not(f) => Ok(!eval_in(tree, f, asg, c, g)?),
         Formula::And(fs) => {
             for f in fs {
-                if !eval_inner(tree, f, asg, c, g)? {
+                if !eval_in(tree, f, asg, c, g)? {
                     return Ok(false);
                 }
             }
@@ -158,7 +141,7 @@ fn eval_inner<C: Collector, G: Guard>(
         }
         Formula::Or(fs) => {
             for f in fs {
-                if eval_inner(tree, f, asg, c, g)? {
+                if eval_in(tree, f, asg, c, g)? {
                     return Ok(true);
                 }
             }
@@ -180,7 +163,7 @@ fn eval_inner<C: Collector, G: Guard>(
                     }
                 }
                 asg.set(*v, u);
-                match eval_inner(tree, f, asg, c, g) {
+                match eval_in(tree, f, asg, c, g) {
                     Ok(true) => {
                         // `u` is the witness valuation that makes ∃v true.
                         witness = Some(u64::from(u.0));
@@ -217,7 +200,7 @@ fn eval_inner<C: Collector, G: Guard>(
                     }
                 }
                 asg.set(*v, u);
-                match eval_inner(tree, f, asg, c, g) {
+                match eval_in(tree, f, asg, c, g) {
                     Ok(false) => {
                         // `u` is the counterexample that falsifies ∀v.
                         witness = Some(u64::from(u.0));
@@ -252,18 +235,7 @@ pub fn eval_partial(
     formula: &Formula,
     asg: &Assignment,
 ) -> Result<Option<bool>, TwqError> {
-    eval_partial_with(tree, formula, asg, &mut NullCollector)
-}
-
-/// [`eval_partial`] with instrumentation (one [`FoEval::Atom`] per
-/// decided atom).
-pub fn eval_partial_with<C: Collector>(
-    tree: &Tree,
-    formula: &Formula,
-    asg: &Assignment,
-    c: &mut C,
-) -> Result<Option<bool>, TwqError> {
-    eval_partial_inner(tree, formula, asg, c, &mut NullGuard)
+    eval_partial_inner(tree, formula, asg, &mut NullCollector, &mut NullGuard)
 }
 
 fn eval_partial_inner<C: Collector, G: Guard>(
@@ -346,22 +318,13 @@ pub fn sat_exists(
     vars: &[Var],
     asg: &mut Assignment,
 ) -> Result<bool, TwqError> {
-    sat_exists_with(tree, matrix, vars, asg, &mut NullCollector)
+    sat_exists_in(tree, matrix, vars, asg, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`sat_exists`] with instrumentation (atoms counted via the pruning
-/// passes).
-pub fn sat_exists_with<C: Collector>(
-    tree: &Tree,
-    matrix: &Formula,
-    vars: &[Var],
-    asg: &mut Assignment,
-    c: &mut C,
-) -> Result<bool, TwqError> {
-    sat_exists_inner(tree, matrix, vars, asg, c, &mut NullGuard)
-}
-
-pub(crate) fn sat_exists_inner<C: Collector, G: Guard>(
+/// [`sat_exists`] in an execution context: the collector sees the atoms
+/// the pruning passes decide and one quantifier span per bound variable;
+/// the guard is charged as by [`eval_in`].
+pub fn sat_exists_in<C: Collector, G: Guard>(
     tree: &Tree,
     matrix: &Formula,
     vars: &[Var],
@@ -394,7 +357,7 @@ pub(crate) fn sat_exists_inner<C: Collector, G: Guard>(
             }
         }
         asg.set(v, u);
-        match sat_exists_inner(tree, matrix, rest, asg, c, g) {
+        match sat_exists_in(tree, matrix, rest, asg, c, g) {
             Ok(true) => {
                 witness = Some(u64::from(u.0));
                 out = Ok(true);
@@ -427,32 +390,15 @@ fn restore(asg: &mut Assignment, v: Var, saved: Option<NodeId>) {
 /// # Errors
 /// [`TwqError::Invalid`] if the formula has free variables.
 pub fn eval_sentence(tree: &Tree, formula: &Formula) -> Result<bool, TwqError> {
-    eval_sentence_with(tree, formula, &mut NullCollector)
+    eval_sentence_in(tree, formula, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`eval_sentence`] with instrumentation (one [`FoEval::Sentence`] per
-/// call, plus the atoms the recursion touches).
-pub fn eval_sentence_with<C: Collector>(
-    tree: &Tree,
-    formula: &Formula,
-    c: &mut C,
-) -> Result<bool, TwqError> {
-    eval_sentence_inner(tree, formula, c, &mut NullGuard)
-}
-
-/// [`eval_sentence`] under a resource [`Guard`]: one fuel unit per atom and
-/// per quantifier binding, quantifier nesting tracked as
-/// [`DepthKind::Quantifier`]. This is the entry point that makes the
-/// `O(|t|^q)` evaluator safe to expose to untrusted sentences.
-pub fn eval_sentence_guarded<G: Guard>(
-    tree: &Tree,
-    formula: &Formula,
-    guard: &mut G,
-) -> Result<bool, TwqError> {
-    eval_sentence_inner(tree, formula, &mut NullCollector, guard)
-}
-
-fn eval_sentence_inner<C: Collector, G: Guard>(
+/// [`eval_sentence`] in an execution context: one [`FoEval::Sentence`]
+/// per call plus what [`eval_in`] reports and charges. Under a real guard
+/// this is the entry point that makes the `O(|t|^q)` evaluator safe to
+/// expose to untrusted sentences. Traced by a `TraceCollector`, the
+/// root's children are the quantifier spans with their witnesses.
+pub fn eval_sentence_in<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
     c: &mut C,
@@ -467,7 +413,7 @@ fn eval_sentence_inner<C: Collector, G: Guard>(
     }
     c.fo_eval(FoEval::Sentence);
     let mut asg = Assignment::with_capacity(formula.max_var());
-    eval_inner(tree, formula, &mut asg, c, g)
+    eval_in(tree, formula, &mut asg, c, g)
 }
 
 /// All nodes `v` such that `t ⊨ φ(u, v)` for a binary formula `φ(x, y)` —
@@ -486,34 +432,13 @@ pub fn select(
     u: NodeId,
     y: Var,
 ) -> Result<NodeSet, TwqError> {
-    select_with(tree, formula, x, u, y, &mut NullCollector)
+    select_in(tree, formula, x, u, y, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`select`] with instrumentation (one [`FoEval::Select`] per call).
-pub fn select_with<C: Collector>(
-    tree: &Tree,
-    formula: &Formula,
-    x: Var,
-    u: NodeId,
-    y: Var,
-    c: &mut C,
-) -> Result<NodeSet, TwqError> {
-    select_inner(tree, formula, x, u, y, c, &mut NullGuard)
-}
-
-/// [`select`] under a resource [`Guard`].
-pub fn select_guarded<G: Guard>(
-    tree: &Tree,
-    formula: &Formula,
-    x: Var,
-    u: NodeId,
-    y: Var,
-    guard: &mut G,
-) -> Result<NodeSet, TwqError> {
-    select_inner(tree, formula, x, u, y, &mut NullCollector, guard)
-}
-
-fn select_inner<C: Collector, G: Guard>(
+/// [`select`] in an execution context: one [`FoEval::Select`] per call,
+/// the selected set reported through `Collector::selected`, and one fuel
+/// unit per candidate node on top of what [`eval_in`] charges.
+pub fn select_in<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
     x: Var,
@@ -536,7 +461,7 @@ fn select_inner<C: Collector, G: Guard>(
             g.tick()?;
         }
         asg.set(y, v);
-        if eval_inner(tree, formula, &mut asg, c, g)? {
+        if eval_in(tree, formula, &mut asg, c, g)? {
             out.insert(v);
             if C::ENABLED {
                 ids.push(u64::from(v.0));
@@ -547,40 +472,6 @@ fn select_inner<C: Collector, G: Guard>(
         c.selected(&ids);
     }
     Ok(out)
-}
-
-/// [`eval_sentence`] while recording a causal [`Trace`]: one `Quant` span
-/// per quantifier evaluation, carrying the witness valuation that decided
-/// it (the node making an `∃` true, or the counterexample falsifying a
-/// `∀`). The root span's verdict is the sentence's truth value.
-pub fn trace_sentence(tree: &Tree, formula: &Formula) -> (Result<bool, TwqError>, Trace) {
-    let mut c = TraceCollector::new();
-    let verdict = eval_sentence_with(tree, formula, &mut c);
-    let mut t = c.finish("eval_sentence");
-    if let Ok(b) = verdict {
-        t.root.verdict = Some(Verdict::Bool(b));
-    }
-    (verdict, t)
-}
-
-/// [`select`] while recording a causal [`Trace`]: the root span's
-/// frontier is the selected node set and its children are the per-node
-/// quantifier evaluations. The root verdict is whether anything was
-/// selected.
-pub fn trace_select(
-    tree: &Tree,
-    formula: &Formula,
-    x: Var,
-    u: NodeId,
-    y: Var,
-) -> (Result<NodeSet, TwqError>, Trace) {
-    let mut c = TraceCollector::new();
-    let out = select_with(tree, formula, x, u, y, &mut c);
-    let mut t = c.finish("select");
-    if let Ok(s) = &out {
-        t.root.verdict = Some(Verdict::Bool(!s.is_empty()));
-    }
-    (out, t)
 }
 
 /// All pairs `(u, v)` with `t ⊨ φ(u, v)`.
@@ -763,9 +654,9 @@ mod tests {
         // ∃x ∃y (x = y): nesting depth 2.
         let f = exists(var(0), exists(var(1), eq(var(0), var(1))));
         let mut ok = ResourceGuard::unlimited().with_depth_limit(DepthKind::Quantifier, 2);
-        assert!(eval_sentence_guarded(&t, &f, &mut ok).unwrap());
+        assert!(eval_sentence_in(&t, &f, &mut NullCollector, &mut ok).unwrap());
         let mut tight = ResourceGuard::unlimited().with_depth_limit(DepthKind::Quantifier, 1);
-        let err = eval_sentence_guarded(&t, &f, &mut tight).unwrap_err();
+        let err = eval_sentence_in(&t, &f, &mut NullCollector, &mut tight).unwrap_err();
         let trip = err.guard().expect("depth trip");
         assert_eq!(
             trip.reason,
@@ -783,17 +674,17 @@ mod tests {
         // ∀x ∀y (x = x): |t|² bindings plus |t|² atoms plus |t| outer ticks.
         let f = forall(var(0), forall(var(1), eq(var(0), var(0))));
         let mut g = ResourceGuard::unlimited();
-        assert!(eval_sentence_guarded(&t, &f, &mut g).unwrap());
+        assert!(eval_sentence_in(&t, &f, &mut NullCollector, &mut g).unwrap());
         let spent = g.fuel_spent();
         let n = t.len() as u64;
         assert!(spent >= n * n, "spent {spent} on {n} nodes");
         // A budget one unit short of the true cost trips.
         let mut tight = ResourceGuard::unlimited().with_budget(spent - 1);
-        assert!(eval_sentence_guarded(&t, &f, &mut tight)
+        assert!(eval_sentence_in(&t, &f, &mut NullCollector, &mut tight)
             .unwrap_err()
             .is_limit());
         // The exact cost passes.
         let mut exact = ResourceGuard::unlimited().with_budget(spent);
-        assert!(eval_sentence_guarded(&t, &f, &mut exact).unwrap());
+        assert!(eval_sentence_in(&t, &f, &mut NullCollector, &mut exact).unwrap());
     }
 }

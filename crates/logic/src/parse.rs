@@ -22,12 +22,24 @@
 //!
 //! Variables are identifiers; the parser assigns dense [`Var`] indices in
 //! order of first occurrence and reports the mapping.
+//!
+//! Nesting — quantifier bodies, `->` right-hand sides, `!` and
+//! parentheses — is bounded by [`MAX_NESTING`]: deeper text is a parse
+//! error at the byte where the limit is crossed, never a stack overflow in
+//! the parser or in the recursive passes that consume the formula.
 
 use std::collections::HashMap;
 
 use twq_tree::{Label, Vocab};
 
 use crate::fo::{Formula, TreeAtom, Var};
+
+/// How deeply query text may nest: filter brackets in XPath
+/// (`twq-xpath`'s parser shares this limit), quantifiers, implications,
+/// negations and parentheses in FO. A formula or query exactly this deep
+/// still gets through normalization, certification, compilation and
+/// evaluation on a 2 MiB pool worker stack.
+pub const MAX_NESTING: usize = 256;
 
 /// An FO parse error with position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,9 +83,25 @@ struct P<'s, 'v> {
     vocab: &'v mut Vocab,
     vars: Vec<String>,
     by_name: HashMap<String, Var>,
+    depth: usize,
 }
 
 impl P<'_, '_> {
+    /// Parse one nested construct with `f`, refusing to go deeper than
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, FoParseError>,
+    ) -> Result<T, FoParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING}"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, FoParseError> {
         Err(FoParseError {
             at: self.pos,
@@ -158,7 +186,7 @@ impl P<'_, '_> {
             if !self.eat(b'.') {
                 return self.err("expected '.' after quantified variable");
             }
-            let body = self.formula()?;
+            let body = self.nested(Self::formula)?;
             return Ok(Formula::Exists(v, Box::new(body)));
         }
         if self.peek() == Some(b'A') && self.src.get(self.pos + 1) == Some(&b' ') {
@@ -167,7 +195,7 @@ impl P<'_, '_> {
             if !self.eat(b'.') {
                 return self.err("expected '.' after quantified variable");
             }
-            let body = self.formula()?;
+            let body = self.nested(Self::formula)?;
             return Ok(Formula::Forall(v, Box::new(body)));
         }
         self.implication()
@@ -177,7 +205,7 @@ impl P<'_, '_> {
         let lhs = self.disjunction()?;
         self.ws();
         if self.eat_str("->") {
-            let rhs = self.formula()?;
+            let rhs = self.nested(Self::formula)?;
             return Ok(Formula::Or(vec![Formula::Not(Box::new(lhs)), rhs]));
         }
         Ok(lhs)
@@ -210,14 +238,16 @@ impl P<'_, '_> {
     fn negation(&mut self) -> Result<Formula, FoParseError> {
         self.ws();
         if self.eat(b'!') {
-            return Ok(Formula::Not(Box::new(self.negation()?)));
+            return Ok(Formula::Not(Box::new(self.nested(Self::negation)?)));
         }
         if self.eat(b'(') {
-            let f = self.formula()?;
-            if !self.eat(b')') {
-                return self.err("expected ')'");
-            }
-            return Ok(f);
+            return self.nested(|p| {
+                let f = p.formula()?;
+                if !p.eat(b')') {
+                    return p.err("expected ')'");
+                }
+                Ok(f)
+            });
         }
         if self.eat_str("true") {
             return Ok(Formula::True);
@@ -366,6 +396,7 @@ pub fn parse_fo(src: &str, vocab: &mut Vocab) -> Result<ParsedFormula, FoParseEr
         vocab,
         vars: Vec::new(),
         by_name: HashMap::new(),
+        depth: 0,
     };
     let formula = p.formula()?;
     p.ws();

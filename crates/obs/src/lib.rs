@@ -12,9 +12,9 @@
 //! * [`RunMetrics`] — steps per state, `atp` depth and fan-out,
 //!   register-store and cycle-check high-water marks, FO-evaluation call
 //!   counts, tape cells, protocol messages, phase timings.
-//! * Sinks — [`HumanSink`] (readable trace), [`JsonlSink`] (one JSON
-//!   object per event), [`RingBufferSink`] (the last `N` events, for
-//!   post-mortems of `Stuck`/`Nondeterministic` halts).
+//! * Sinks — [`JsonlSink`] (one JSON object per event), [`RingBufferSink`]
+//!   (the last `N` events, for post-mortems of `Stuck`/`Nondeterministic`
+//!   halts), [`TeeSink`] (fan one stream out to two sinks).
 //! * `twq-prof` — the profiling layer on top of the seam:
 //!   [`Histogram`]/[`DenseHistogram`] (log2-bucketed latencies, exact
 //!   value counts), [`Registry`] (named counters/gauges/histograms with
@@ -57,7 +57,7 @@ pub use metrics::RunMetrics;
 pub use profile::{FlameProfiler, Frame};
 pub use registry::{Registry, Snapshot};
 pub use report::{col, Cell, Col, HumanReporter, JsonlReporter, Reporter};
-pub use sink::{EventSink, HumanSink, JsonlSink, RingBufferSink, TeeSink};
+pub use sink::{EventSink, JsonlSink, RingBufferSink, TeeSink};
 pub use trace::{
     diff, explain_verdict, Divergence, Namer, Span, SpanKind, Trace, TraceCollector, TraceDepth,
     Verdict,

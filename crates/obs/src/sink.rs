@@ -11,36 +11,6 @@ pub trait EventSink {
     fn emit(&mut self, ev: &Event);
 }
 
-/// Renders events as indented human-readable lines.
-#[derive(Debug, Default)]
-pub struct HumanSink {
-    out: String,
-}
-
-impl HumanSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The rendered trace so far.
-    pub fn as_str(&self) -> &str {
-        &self.out
-    }
-
-    /// Consume the sink, returning the rendered trace.
-    pub fn into_string(self) -> String {
-        self.out
-    }
-}
-
-impl EventSink for HumanSink {
-    fn emit(&mut self, ev: &Event) {
-        self.out.push_str(&ev.render());
-        self.out.push('\n');
-    }
-}
-
 /// Serializes events as JSON Lines — one JSON object per event.
 #[derive(Debug, Default)]
 pub struct JsonlSink {
@@ -201,17 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn human_sink_renders_lines() {
-        let mut s = HumanSink::new();
-        for ev in sample_events() {
-            s.emit(&ev);
-        }
-        let text = s.into_string();
-        assert_eq!(text.lines().count(), 4);
-        assert!(text.contains("> atp @ node 3, fanout 2"));
-    }
-
-    #[test]
     fn jsonl_sink_round_trips_through_the_parser() {
         let events = sample_events();
         let mut s = JsonlSink::new();
@@ -228,13 +187,13 @@ mod tests {
 
     #[test]
     fn tee_sink_fans_out() {
-        let mut human = HumanSink::new();
+        let mut jsonl = JsonlSink::new();
         let mut ring = RingBufferSink::new(2);
-        let mut tee = TeeSink::new(&mut human, &mut ring);
+        let mut tee = TeeSink::new(&mut jsonl, &mut ring);
         for ev in sample_events() {
             tee.emit(&ev);
         }
-        assert_eq!(human.as_str().lines().count(), 4);
+        assert_eq!(jsonl.as_str().lines().count(), 4);
         assert_eq!(ring.len(), 2);
     }
 

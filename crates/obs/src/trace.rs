@@ -380,7 +380,7 @@ pub enum TraceDepth {
 /// A recorded run: a labeled span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
-    /// Which evaluator produced this trace (e.g. `run`, `run_guarded`).
+    /// Which evaluator produced this trace (e.g. `run`, `run_in`).
     pub label: String,
     /// Capture depth.
     pub depth: TraceDepth,
@@ -635,6 +635,15 @@ impl TraceCollector {
             root: self.stack.pop().expect("root span"),
             dropped_spans: self.dropped,
         }
+    }
+
+    /// Run `f` under a fresh collector and return its result with the
+    /// trace labelled `label` — how any evaluator's `_in` entry is traced,
+    /// e.g. `TraceCollector::record("run", |c| run_with(p, d, l, c))`.
+    pub fn record<R>(label: &str, f: impl FnOnce(&mut TraceCollector) -> R) -> (R, Trace) {
+        let mut c = TraceCollector::new();
+        let out = f(&mut c);
+        (out, c.finish(label))
     }
 }
 
@@ -1018,7 +1027,7 @@ mod tests {
     #[test]
     fn diff_of_identical_traces_is_empty() {
         let a = sample_collector().finish("run");
-        let b = sample_collector().finish("run_guarded");
+        let b = sample_collector().finish("run_in");
         assert_eq!(diff(&a, &b), None);
     }
 
@@ -1093,7 +1102,7 @@ mod tests {
         c.chain_enter(0, 0, 0);
         c.step(0, 0, 0);
         c.trip("fuel budget exhausted (limit 10)");
-        let t = c.finish("run_guarded");
+        let t = c.finish("run_in");
         let chain = &t.root.children[0];
         let trip = &chain.children[0];
         assert!(matches!(trip.kind, SpanKind::Trip));

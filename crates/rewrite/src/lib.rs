@@ -43,8 +43,8 @@ pub use norm::{apply_rule_deep, normalize, normalize_in, normalize_seeded};
 pub use route::{
     eval_from_rewritten, eval_pairs_rewritten, plan_indexed, plan_indexed_with, plan_query,
     run_query_indexed, run_query_indexed_with, run_query_planned, run_query_routed,
-    select_batch_rewritten, xpath_to_program_rewritten, IndexedEvaluator, IndexedPlan,
-    PlannedEvaluator, QueryPlan, QueryRouted,
+    xpath_to_program_rewritten, IndexedEvaluator, IndexedPlan, PlannedEvaluator, QueryPlan,
+    QueryRouted,
 };
 pub use rules::{rule, RwRule, CATALOG};
 pub use stream::{certify, stream_select, stream_select_gauged, Certificate, StreamStats};
@@ -95,14 +95,14 @@ pub fn rewrite_with<C: Collector>(q: &XPath, ctx: &RewriteCtx, c: &mut C) -> Rew
     for r in CATALOG {
         if let Some(&n) = st.fired.get(r.name) {
             fired.push((r.name, n));
-            c.rewrite_counter(r.counter, n);
+            c.counter(r.counter, n);
         }
     }
     if st.pruned > 0 {
-        c.rewrite_counter("rewrite/pruned_branches", st.pruned);
+        c.counter("rewrite/pruned_branches", st.pruned);
     }
     if certificate.is_streamable() {
-        c.rewrite_counter("rewrite/certified_streamable", 1);
+        c.counter("rewrite/certified_streamable", 1);
     }
 
     let mut diagnostics = Vec::new();

@@ -8,13 +8,12 @@ use std::time::Instant;
 
 use twq_analyze::{run_routed, Routed};
 use twq_automata::{Limits, TwProgram};
-use twq_exec::Pool;
 use twq_index::{
     compile_xpath, eval_plan_from, Choice, CostModel, Estimate, Force, IxPlan, TreeIndex,
 };
 use twq_obs::{Collector, NullCollector};
 use twq_tree::{AttrId, DelimTree, NodeId, NodeSet, SymId, Tree};
-use twq_xpath::{eval_from, eval_pairs, select_batch, xpath_to_program, SelectionTest, XPath};
+use twq_xpath::{eval_from, eval_pairs, xpath_to_program, SelectionTest, XPath};
 
 use crate::contain::RewriteCtx;
 use crate::stream::{stream_select, Certificate};
@@ -38,21 +37,6 @@ pub fn eval_pairs_rewritten(tree: &Tree, path: &XPath) -> BTreeSet<(NodeId, Node
         return BTreeSet::new();
     }
     eval_pairs(tree, &rw.output)
-}
-
-/// `select_batch` through the rewriter: the rewrite runs once, the
-/// normal form is evaluated for every context.
-pub fn select_batch_rewritten(
-    tree: &Tree,
-    path: &XPath,
-    contexts: &[NodeId],
-    pool: &Pool,
-) -> Vec<NodeSet> {
-    let rw = rewrite_in(path, &RewriteCtx::unconstrained());
-    if rw.provably_empty {
-        return contexts.iter().map(|_| NodeSet::new()).collect();
-    }
-    select_batch(tree, &rw.output, contexts, pool)
 }
 
 /// Which evaluator the planner picked for a query.
@@ -213,7 +197,7 @@ pub fn plan_indexed_with<C: Collector>(
     let rewritten = crate::rewrite_with(q, ctx, c);
     if rewritten.provably_empty {
         if C::ENABLED {
-            c.index_counter("index/plan_empty", 1);
+            c.counter("index/plan_empty", 1);
         }
         return IndexedPlan {
             rewritten,
@@ -229,7 +213,7 @@ pub fn plan_indexed_with<C: Collector>(
         Choice::Walk => IndexedEvaluator::Walking,
     };
     if C::ENABLED {
-        c.index_counter(
+        c.counter(
             match evaluator {
                 IndexedEvaluator::Indexed => "index/plan_indexed",
                 _ => "index/plan_walk",
@@ -304,11 +288,11 @@ pub fn run_query_indexed_with<C: Collector>(
                 IndexedEvaluator::Indexed => ("index/act_index_ns", "index/est_index_ns"),
                 _ => ("index/act_walk_ns", "index/est_walk_ns"),
             };
-            c.index_counter(act_key, act);
-            c.index_counter(est_key, est_ns as u64);
+            c.counter(act_key, act);
+            c.counter(est_key, est_ns as u64);
             if act > 0 {
                 let err = ((act as f64 - est_ns).abs() / act as f64 * 100.0) as u64;
-                c.index_counter("index/cost_err_pct", err);
+                c.counter("index/cost_err_pct", err);
             }
         }
     }

@@ -99,7 +99,9 @@ impl<'s, 'v> Parser<'s, 'v> {
         Ok(self.vocab.val_str(tok))
     }
 
-    fn term(
+    /// Parse one node's label and attributes, creating it as the last
+    /// child of `parent` (or as the root of a new tree).
+    fn head(
         &mut self,
         tree: &mut Option<Tree>,
         parent: Option<NodeId>,
@@ -139,20 +141,39 @@ impl<'s, 'v> Parser<'s, 'v> {
                 }
             }
         }
-        self.skip_ws();
-        if self.eat(b'(') {
+        Ok(node)
+    }
+
+    /// Parse a whole term. Nesting is tracked on an explicit stack of the
+    /// nodes whose child lists are open, so depth costs heap, not call
+    /// stack: a million-deep chain parses like a million-wide fan.
+    fn term(&mut self, tree: &mut Option<Tree>) -> Result<(), ParseError> {
+        let mut open: Vec<NodeId> = Vec::new();
+        let mut node = self.head(tree, None)?;
+        loop {
+            self.skip_ws();
+            if self.eat(b'(') {
+                open.push(node);
+                node = self.head(tree, Some(node))?;
+                continue;
+            }
+            // `node` is complete: close child lists until one continues.
             loop {
-                self.term(tree, Some(node))?;
+                let Some(&parent) = open.last() else {
+                    return Ok(());
+                };
                 self.skip_ws();
                 if self.eat(b')') {
-                    break;
+                    open.pop();
+                    continue;
                 }
                 if !self.eat(b',') {
                     return self.err("expected ',' or ')' in child list");
                 }
+                node = self.head(tree, Some(parent))?;
+                break;
             }
         }
-        Ok(node)
     }
 }
 
@@ -164,7 +185,7 @@ pub fn parse_tree(src: &str, vocab: &mut Vocab) -> Result<Tree, ParseError> {
         vocab,
     };
     let mut tree = None;
-    p.term(&mut tree, None)?;
+    p.term(&mut tree)?;
     p.skip_ws();
     if p.pos != p.src.len() {
         return p.err("trailing input after tree");
@@ -175,14 +196,37 @@ pub fn parse_tree(src: &str, vocab: &mut Vocab) -> Result<Tree, ParseError> {
 }
 
 /// Render a tree back into the term syntax (inverse of [`parse_tree`] up to
-/// whitespace).
+/// whitespace). The walk follows child, sibling and parent links in
+/// preorder, so it needs no stack at any depth.
 pub fn tree_to_string(tree: &Tree, vocab: &Vocab) -> String {
     let mut out = String::new();
-    write_node(tree, tree.root(), vocab, &mut out);
-    out
+    let mut u = tree.root();
+    loop {
+        write_head(tree, u, vocab, &mut out);
+        if let Some(c) = tree.first_child(u) {
+            out.push('(');
+            u = c;
+            continue;
+        }
+        // `u` is finished: climb to the nearest ancestor-or-self that has
+        // a next sibling, closing the child lists passed on the way.
+        loop {
+            if u == tree.root() {
+                return out;
+            }
+            if let Some(s) = tree.next_sibling(u) {
+                out.push(',');
+                u = s;
+                break;
+            }
+            u = tree.parent(u).expect("a non-root node has a parent");
+            out.push(')');
+        }
+    }
 }
 
-fn write_node(tree: &Tree, u: NodeId, vocab: &Vocab, out: &mut String) {
+/// One node's label and attribute list.
+fn write_head(tree: &Tree, u: NodeId, vocab: &Vocab, out: &mut String) {
     out.push_str(&tree.label(u).display(vocab));
     let attrs: Vec<(u16, crate::vocab::Value)> = (0..tree.attr_columns() as u16)
         .filter_map(|a| {
@@ -204,16 +248,6 @@ fn write_node(tree: &Tree, u: NodeId, vocab: &Vocab, out: &mut String) {
             );
         }
         out.push(']');
-    }
-    if !tree.is_leaf(u) {
-        out.push('(');
-        for (i, c) in tree.children(u).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_node(tree, c, vocab, out);
-        }
-        out.push(')');
     }
 }
 

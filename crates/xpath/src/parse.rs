@@ -8,7 +8,12 @@
 //! filter := '[' path ']' | '[@' ident '=' value ']' | '[@' ident '=@' ident ']'
 //! value  := ident | integer
 //! ```
+//!
+//! Filters may nest at most [`MAX_NESTING`] deep (the limit FO text shares):
+//! deeper text is a parse error at the `[` that crosses it, never a stack
+//! overflow in the parser or in the recursive passes that consume the path.
 
+use twq_logic::MAX_NESTING;
 use twq_tree::Vocab;
 
 use crate::ast::{Pred, XPath};
@@ -34,6 +39,7 @@ struct P<'s, 'v> {
     src: &'s [u8],
     pos: usize,
     vocab: &'v mut Vocab,
+    depth: usize,
 }
 
 impl P<'_, '_> {
@@ -134,7 +140,12 @@ impl P<'_, '_> {
         loop {
             self.ws();
             if self.eat(b'[') {
+                if self.depth == MAX_NESTING {
+                    return self.err(format!("filters nested deeper than {MAX_NESTING}"));
+                }
+                self.depth += 1;
                 let pred = self.pred()?;
+                self.depth -= 1;
                 self.ws();
                 if !self.eat(b']') {
                     return self.err("expected ']'");
@@ -185,6 +196,7 @@ pub fn parse_xpath(src: &str, vocab: &mut Vocab) -> Result<XPath, XPathParseErro
         src: src.as_bytes(),
         pos: 0,
         vocab,
+        depth: 0,
     };
     let path = p.path()?;
     p.ws();

@@ -69,22 +69,22 @@ use std::time::{Duration, Instant};
 
 use twq::analyze::{analyze, prune, severity_counts};
 use twq::automata::{
-    examples, run, run_graph, run_guarded, run_with, trace_run, Limits, RunReport, State, TwClass,
-    TwProgram,
+    examples, run, run_graph, run_in, run_with, Limits, RunReport, State, TwClass, TwProgram,
 };
 use twq::exec::{Pool, PoolStats};
-use twq::guard::{FaultPlan, ResourceGuard, TripReason, TwqError};
+use twq::guard::{FaultPlan, NullGuard, ResourceGuard, TripReason, TwqError};
 use twq::index::{select_indexed, CostModel, Force, TreeIndex};
 use twq::logic::types::{count_classes, TypeConfig};
-use twq::logic::{eval_sentence, eval_sentence_guarded, trace_sentence};
+use twq::logic::{eval_sentence, eval_sentence_in};
 use twq::obs::{
     col, Cell, FlameProfiler, HaltKind, Histogram, HumanReporter, JsonlReporter, MetricsCollector,
-    Registry, Reporter, RingBufferSink, RunMetrics, TeeSink, Trace,
+    NullCollector, Registry, Reporter, RingBufferSink, RunMetrics, TeeSink, Trace, TraceCollector,
+    Verdict,
 };
 use twq::protocol::{
     at_most_k_values_program, counting_table, encode, encode_shuffled, in_lm, lm_sentence,
-    random_hyperset, run_protocol, run_protocol_guarded, split_string_tree, HyperGenConfig,
-    Markers, ProtocolReport,
+    random_hyperset, run_protocol, run_protocol_in, split_string_tree, HyperGenConfig, Markers,
+    ProtocolReport,
 };
 use twq::rw::{eval_from_rewritten, eval_sentence_rewritten, run_query_indexed, RewriteCtx};
 use twq::sim::{
@@ -93,12 +93,10 @@ use twq::sim::{
 };
 use twq::tree::generate::{monadic_tree, random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, Label, Value, Vocab};
-use twq::xpath::{compile, eval_from, eval_from_guarded, parse_xpath, trace_eval_from};
-use twq::xtm::machine::{run_xtm, run_xtm_guarded, trace_xtm, XtmLimits, XtmReport};
+use twq::xpath::{compile, eval_from, eval_from_in, parse_xpath};
+use twq::xtm::machine::{run_xtm, run_xtm_in, XtmLimits, XtmReport};
 use twq::xtm::tm::tm_leaf_count_even;
-use twq::xtm::{
-    encode as xenc, machines, run_alternating, run_alternating_guarded, run_tm, to_bytes,
-};
+use twq::xtm::{encode as xenc, machines, run_alternating, run_alternating_in, run_tm, to_bytes};
 
 /// Resource-governance settings from `--budget`, `--timeout`, `--faults`.
 /// Each governed evaluator call gets a **fresh** guard built from these, so
@@ -403,6 +401,11 @@ fn prof_summary(rep: &mut dyn Reporter, prof: &mut Prof) {
     }
 }
 
+/// The causal trace of one engine run.
+fn traced_run(prog: &TwProgram, dt: &DelimTree, limits: Limits) -> Trace {
+    TraceCollector::record("run", |c| run_with(prog, dt, limits, c)).1
+}
+
 /// Run the direct engine, governed when any `--budget`/`--timeout`/
 /// `--faults` flag is set.
 fn governed_run(
@@ -412,7 +415,7 @@ fn governed_run(
     gov: &Gov,
 ) -> Result<twq::automata::RunReport, TwqError> {
     if gov.active() {
-        run_guarded(prog, dt, limits, &mut gov.guard())
+        run_in(prog, dt, limits, &mut NullCollector, &mut gov.guard())
     } else {
         Ok(run(prog, dt, limits))
     }
@@ -426,7 +429,7 @@ fn governed_run_xtm(
     gov: &Gov,
 ) -> Result<XtmReport, TwqError> {
     if gov.active() {
-        run_xtm_guarded(m, dt, limits, &mut gov.guard())
+        run_xtm_in(m, dt, limits, &mut NullCollector, &mut gov.guard())
     } else {
         Ok(run_xtm(m, dt, limits))
     }
@@ -445,7 +448,8 @@ fn governed_run_protocol(
     gov: &Gov,
 ) -> Result<ProtocolReport, TwqError> {
     if gov.active() {
-        run_protocol_guarded(prog, f, g, markers, sym, attr, limits, &mut gov.guard())
+        let (c, guard) = (&mut NullCollector, &mut gov.guard());
+        run_protocol_in(prog, f, g, markers, sym, attr, limits, c, guard)
     } else {
         Ok(run_protocol(prog, f, g, markers, sym, attr, limits))
     }
@@ -844,8 +848,7 @@ fn e1_example32(
     if tracer.active() {
         let cfg = TreeGenConfig::example32(&mut vocab, 60, &[1, 2]);
         let dt = DelimTree::build(&random_tree(&cfg, 0));
-        let (_, t) = trace_run(&prog, &dt, Limits::default());
-        tracer.record("E1", t);
+        tracer.record("E1", traced_run(&prog, &dt, Limits::default()));
     }
 }
 
@@ -898,7 +901,7 @@ fn e2_xpath(
         let (_, _, ti, path) = &inputs[i];
         let t = &trees[*ti];
         let direct = if gov.active() {
-            eval_from_guarded(t, path, t.root(), &mut gov.guard())
+            eval_from_in(t, path, t.root(), &mut NullCollector, &mut gov.guard())
         } else {
             let d = eval_from(t, path, t.root());
             if use_rewrite {
@@ -959,7 +962,12 @@ fn e2_xpath(
         // query — each axis step's node frontier lands in the trace.
         let (_, _, ti, path) = &inputs[2];
         let t = &trees[*ti];
-        let (_, tr) = trace_eval_from(t, path, t.root());
+        let (out, mut tr) = TraceCollector::record("xpath", |c| {
+            eval_from_in(t, path, t.root(), c, &mut NullGuard)
+        });
+        if let Ok(s) = out {
+            tr.root.verdict = Some(Verdict::Bool(!s.is_empty()));
+        }
         tracer.record("E2", tr);
     }
 }
@@ -1107,9 +1115,11 @@ fn e3_logspace_pebbles(
         if tracer.active() {
             // Both sides of the Theorem 7.1(1) equivalence, on the
             // smallest tree: the xTM and its compiled pebble walker.
-            let (_, xt) = trace_xtm(&machine, &dts[0], XtmLimits::default());
+            let (_, xt) = TraceCollector::record("run_xtm", |c| {
+                run_xtm_in(&machine, &dts[0], XtmLimits::default(), c, &mut NullGuard)
+            });
             tracer.record(&format!("E3/{name}/xtm"), xt);
-            let (_, pt) = trace_run(&prog.program, &dts[0], Limits::long_walk());
+            let pt = traced_run(&prog.program, &dts[0], Limits::long_walk());
             tracer.record(&format!("E3/{name}"), pt);
         }
     }
@@ -1229,8 +1239,7 @@ fn e4_twl_ptime(
         emit_capture(rep, prof, "E4", "direct engine, n=20", &prog, &cap);
     }
     if tracer.active() {
-        let (_, t) = trace_run(&prog, &dts[0], Limits::default());
-        tracer.record("E4", t);
+        tracer.record("E4", traced_run(&prog, &dts[0], Limits::default()));
     }
 }
 
@@ -1342,8 +1351,10 @@ fn e5_twr_pspace(
         emit_capture(rep, prof, "E5", "n=64", &prog.program, &cap);
     }
     if tracer.active() {
-        let (_, t) = trace_run(&prog.program, &dts[0], Limits::long_walk());
-        tracer.record("E5", t);
+        tracer.record(
+            "E5",
+            traced_run(&prog.program, &dts[0], Limits::long_walk()),
+        );
     }
 }
 
@@ -1441,8 +1452,7 @@ fn e6_twrl_exptime(
     }
     if tracer.active() {
         let (prog, dt) = &items[0];
-        let (_, t) = trace_run(prog, dt, Limits::default());
-        tracer.record("E6", t);
+        tracer.record("E6", traced_run(prog, dt, Limits::default()));
     }
 }
 
@@ -1486,7 +1496,7 @@ fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov, use_rewrite:
                 let expect = in_lm(m, &w, &markers);
                 let t = split_string_tree(&f, &g, &markers, sym, attr);
                 let got = if gov.active() {
-                    match eval_sentence_guarded(&t, &phi, &mut gov.guard()) {
+                    match eval_sentence_in(&t, &phi, &mut NullCollector, &mut gov.guard()) {
                         Ok(b) => b,
                         Err(e) => {
                             trip = Some(e);
@@ -1538,7 +1548,12 @@ fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov, use_rewrite:
         let f = encode(&h, &markers);
         let g = encode_shuffled(&h, &markers, 0);
         let t = split_string_tree(&f, &g, &markers, sym, attr);
-        let (_, tr) = trace_sentence(&t, &phi);
+        let (verdict, mut tr) = TraceCollector::record("eval_sentence", |c| {
+            eval_sentence_in(&t, &phi, c, &mut NullGuard)
+        });
+        if let Ok(b) = verdict {
+            tr.root.verdict = Some(Verdict::Bool(b));
+        }
         tracer.record("E7", tr);
     }
 }
@@ -1855,7 +1870,7 @@ fn e13_alternation(rep: &mut dyn Reporter, gov: &Gov) {
         let t = random_tree(&cfg, 19);
         let dt = DelimTree::build(&t);
         let r = if gov.active() {
-            match run_alternating_guarded(&m, &dt, XtmLimits::default(), &mut gov.guard()) {
+            match run_alternating_in(&m, &dt, XtmLimits::default(), &mut gov.guard()) {
                 Ok(r) => r,
                 Err(e) => {
                     rep.row(&[n.into(), trip_cell(&e), 0usize.into(), Cell::float(0.0, 2)]);

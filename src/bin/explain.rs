@@ -23,13 +23,27 @@
 //! Exit status: `0` when every internal self-check holds, `1` otherwise,
 //! `2` for usage errors.
 
-use twq::automata::{examples, trace_batch, trace_run, Limits};
+use twq::automata::{examples, run_with, Limits, RunReport, TwProgram};
 use twq::exec::Pool;
 use twq::fuzz::{explain_repro, explain_with_names, parse_jsonl};
+use twq::guard::NullGuard;
 use twq::logic::fo::build as fob;
-use twq::logic::{trace_select, trace_sentence};
-use twq::obs::{explain_verdict, Namer};
+use twq::logic::{eval_sentence_in, select_in};
+use twq::obs::{explain_verdict, Namer, Trace, TraceCollector, Verdict};
 use twq::tree::{DelimTree, Label, Tree, Value, Vocab};
+
+/// One causal trace per tree, recorded across `pool` and merged in input
+/// order, so the merged trace is the same for every pool size.
+fn traced_batch(prog: &TwProgram, trees: &[Tree], pool: &Pool) -> (Vec<RunReport>, Trace) {
+    let (reports, traces) = pool
+        .scoped(trees.len(), |i| {
+            let delim = DelimTree::build(&trees[i]);
+            TraceCollector::record("run", |c| run_with(prog, &delim, Limits::default(), c))
+        })
+        .into_iter()
+        .unzip();
+    (reports, Trace::merge_batch("run_batch", traces))
+}
 
 fn usage() -> ! {
     eprintln!("usage: explain [--e1] [--fo] [--replay PATH] [--jobs N]");
@@ -54,8 +68,8 @@ fn run_e1(jobs: usize) -> bool {
         t
     };
     let trees = vec![make([v1, v1]), make([v1, v2])];
-    let (reports, merged) = trace_batch(&ex.program, &trees, Limits::default(), &Pool::new(jobs));
-    let (_, serial) = trace_batch(&ex.program, &trees, Limits::default(), &Pool::new(1));
+    let (reports, merged) = traced_batch(&ex.program, &trees, &Pool::new(jobs));
+    let (_, serial) = traced_batch(&ex.program, &trees, &Pool::new(1));
     let identical = merged.to_json_line() == serial.to_json_line();
     println!("== E1: Example 3.2 (all leaf-descendants of every δ share one a-value) ==");
     println!("batch traces byte-identical across --jobs 1 and --jobs {jobs}: {identical}\n");
@@ -64,7 +78,9 @@ fn run_e1(jobs: usize) -> bool {
         let expect = i == 0;
         ok &= r.accepted() == expect;
         let delim = DelimTree::build(t);
-        let (_, trace) = trace_run(&ex.program, &delim, Limits::default());
+        let (_, trace) = TraceCollector::record("run", |c| {
+            run_with(&ex.program, &delim, Limits::default(), c)
+        });
         println!(
             "-- tree {i} ({}) --",
             if r.accepted() { "accepted" } else { "rejected" }
@@ -104,7 +120,12 @@ fn run_fo() -> bool {
         x,
         fob::and([fob::lab(Label::Sym(delta), x), fob::not(fob::leaf(x))]),
     );
-    let (verdict, trace) = trace_sentence(&t, &sentence);
+    let (verdict, mut trace) = TraceCollector::record("eval_sentence", |c| {
+        eval_sentence_in(&t, &sentence, c, &mut NullGuard)
+    });
+    if let Ok(b) = verdict {
+        trace.root.verdict = Some(Verdict::Bool(b));
+    }
     let mut ok = matches!(verdict, Ok(true));
     print!("{}", explain_verdict(&trace, &names));
     println!();
@@ -116,7 +137,20 @@ fn run_fo() -> bool {
         fob::edge(fob::var(0), fob::var(1)),
         fob::lab(Label::Sym(sigma), fob::var(1)),
     ]);
-    let (selected, strace) = trace_select(&t, &phi, fob::var(0), t.root(), fob::var(1));
+    let (selected, mut strace) = TraceCollector::record("select", |c| {
+        select_in(
+            &t,
+            &phi,
+            fob::var(0),
+            t.root(),
+            fob::var(1),
+            c,
+            &mut NullGuard,
+        )
+    });
+    if let Ok(s) = &selected {
+        strace.root.verdict = Some(Verdict::Bool(!s.is_empty()));
+    }
     match &selected {
         Ok(s) => {
             let nodes: Vec<String> = s.iter().map(|u| node_namer(u64::from(u.0))).collect();

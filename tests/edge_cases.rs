@@ -5,7 +5,10 @@ use twq::automata::twir::{Cond, Instr, Source, WalkerBuilder};
 use twq::automata::{examples, run_on_tree, Action, Dir, Halt, Limits, TwProgramBuilder};
 use twq::logic::exists::selectors;
 use twq::logic::store::sbuild::*;
-use twq::tree::{parse_tree, Label, Vocab};
+use twq::logic::{eval_sentence, parse_fo, MAX_NESTING};
+use twq::rw::{certify, normalize_formula, rewrite_in, RewriteCtx};
+use twq::tree::{parse_tree, tree_to_string, Label, Vocab};
+use twq::xpath::{compile, eval_from, parse_xpath};
 
 /// `atp` self-recursion exhausts the nesting budget and reports it.
 #[test]
@@ -185,4 +188,91 @@ fn graph_evaluator_step_limit() {
         },
     );
     assert!(report.halt.is_limit(), "{:?}", report.halt);
+}
+
+/// A million-deep chain survives the text format both ways: parsing and
+/// printing keep their nesting on the heap, not on the call stack.
+#[test]
+fn million_deep_chain_round_trips_through_text() {
+    let n = 1_000_000;
+    let src = format!("{}a[k=1]{}", "a(".repeat(n - 1), ")".repeat(n - 1));
+    let mut vocab = Vocab::new();
+    let t = parse_tree(&src, &mut vocab).unwrap();
+    assert_eq!(t.len(), n);
+    let leaf = t.node_ids().last().unwrap();
+    assert!(t.is_leaf(leaf));
+    let (mut u, mut depth) = (leaf, 0);
+    while let Some(p) = t.parent(u) {
+        (u, depth) = (p, depth + 1);
+    }
+    assert_eq!(depth, n - 1);
+    assert_eq!(tree_to_string(&t, &vocab), src);
+}
+
+/// Query text nested far past [`MAX_NESTING`] is a parse error at the
+/// byte where the limit is crossed — not a stack overflow.
+#[test]
+fn deep_query_text_is_a_positioned_parse_error() {
+    let mut vocab = Vocab::new();
+    let deep = 20_000;
+    let q = format!("{}a{}", "a[".repeat(deep), "]".repeat(deep));
+    let err = parse_xpath(&q, &mut vocab).unwrap_err();
+    // The `[` that opens filter number MAX_NESTING + 1 is the culprit.
+    assert_eq!(err.at, 2 * (MAX_NESTING + 1), "{err}");
+    assert!(err.msg.contains("nested deeper"), "{err}");
+
+    let f = format!("{}true", "!".repeat(40_000));
+    let err = parse_fo(&f, &mut vocab).unwrap_err();
+    assert_eq!(err.at, MAX_NESTING + 1, "{err}");
+    assert!(err.msg.contains("nesting deeper"), "{err}");
+    let f = format!("{}true{}", "(".repeat(40_000), ")".repeat(40_000));
+    assert!(parse_fo(&f, &mut vocab).is_err());
+}
+
+/// Query text exactly [`MAX_NESTING`] deep parses, and the passes behind
+/// it — normalize, certify, compile, evaluate, drop — fit on a 2 MiB
+/// stack, the size of a pool worker's.
+#[test]
+fn query_at_the_nesting_limit_runs_on_a_worker_stack() {
+    let worker = std::thread::Builder::new().stack_size(2 << 20);
+    let run = worker
+        .spawn(|| {
+            let mut vocab = Vocab::new();
+            let t = parse_tree("a(a(a,b),a)", &mut vocab).unwrap();
+            let d = MAX_NESTING;
+            let q = format!("{}a{}", "a[".repeat(d), "]".repeat(d));
+            let path = parse_xpath(&q, &mut vocab).unwrap();
+            let rw = rewrite_in(&path, &RewriteCtx::unconstrained());
+            let _ = certify(&path);
+            let phi = compile(&path);
+            let direct = eval_from(&t, &path, t.root());
+            assert_eq!(phi.select(&t, t.root()), direct);
+            assert_eq!(eval_from(&t, &rw.output, t.root()), direct);
+
+            let f = format!("{}true", "!".repeat(d));
+            let f = parse_fo(&f, &mut vocab).unwrap().formula;
+            let nf = normalize_formula(&f);
+            assert_eq!(eval_sentence(&t, &f), eval_sentence(&t, &nf));
+            let f = format!("{}true", "E x. ".repeat(d));
+            let f = parse_fo(&f, &mut vocab).unwrap().formula;
+            assert_eq!(eval_sentence(&t, &normalize_formula(&f)), Ok(true));
+        })
+        .unwrap();
+    run.join().expect("the pipeline fits on a worker stack");
+}
+
+/// `lint` reports over-deep query text as a usage error (exit 2).
+#[test]
+fn lint_rejects_over_deep_query_text() {
+    let lint = env!("CARGO_BIN_EXE_lint");
+    let q = format!("{}a{}", "a[".repeat(20_000), "]".repeat(20_000));
+    let f = format!("{}true", "!".repeat(40_000));
+    for args in [["--query", q.as_str()], ["--fo", f.as_str()]] {
+        let out = std::process::Command::new(lint)
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{}", args[0]);
+        assert!(String::from_utf8_lossy(&out.stderr).contains("parse error at byte"));
+    }
 }

@@ -9,17 +9,16 @@
 
 use proptest::prelude::*;
 
-use twq::automata::{
-    examples, run_batch, run_batch_guarded, run_on_tree, run_on_tree_guarded, Limits,
-};
+use twq::automata::{examples, run_batch, run_in, run_on_tree, Limits};
 use twq::exec::Pool;
 use twq::guard::ResourceGuard;
-use twq::logic::eval::{select, select_guarded};
+use twq::logic::eval::{select, select_in};
 use twq::logic::fo::build::exists;
+use twq::logic::select_batch;
 use twq::logic::{eval_sentence, eval_sentence_memo, eval_sentence_par, ExistsFormula};
-use twq::logic::{select_batch, select_batch_guarded};
+use twq::obs::NullCollector;
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{NodeId, Tree, Vocab};
+use twq::tree::{DelimTree, NodeId, Tree, Vocab};
 use twq::xpath::{compile, random_xpath, XPathGenConfig};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -94,17 +93,15 @@ proptest! {
         let mut vocab = Vocab::new();
         let ex = examples::example_32(&mut vocab);
         let trees = tree_batch(&mut vocab, count, nodes, seed);
-        let make = || ResourceGuard::unlimited().with_budget(fuel);
-        let serial: Vec<_> = trees
-            .iter()
-            .map(|t| {
-                let mut g = make();
-                run_on_tree_guarded(&ex.program, t, Limits::default(), &mut g)
-            })
-            .collect();
+        let governed = |t: &Tree| {
+            let mut g = ResourceGuard::unlimited().with_budget(fuel);
+            let dt = DelimTree::build(t);
+            run_in(&ex.program, &dt, Limits::default(), &mut NullCollector, &mut g)
+        };
+        let serial: Vec<_> = trees.iter().map(governed).collect();
         for workers in WORKER_COUNTS {
             let pool = Pool::new(workers);
-            let batch = run_batch_guarded(&ex.program, &trees, Limits::default(), &pool, make);
+            let batch = pool.scoped(trees.len(), |i| governed(&trees[i]));
             prop_assert_eq!(batch.len(), serial.len());
             for (i, (b, s)) in batch.iter().zip(&serial).enumerate() {
                 match (b, s) {
@@ -167,18 +164,14 @@ proptest! {
         let t = random_tree(&cfg, tree_seed);
         let formula = phi.to_formula();
         let us: Vec<NodeId> = t.node_ids().collect();
-        let make = || ResourceGuard::unlimited().with_budget(fuel);
-        let serial: Vec<_> = us
-            .iter()
-            .map(|&u| {
-                let mut g = make();
-                select_guarded(&t, &formula, phi.x(), u, phi.y(), &mut g)
-            })
-            .collect();
+        let governed = |u: NodeId| {
+            let mut g = ResourceGuard::unlimited().with_budget(fuel);
+            select_in(&t, &formula, phi.x(), u, phi.y(), &mut NullCollector, &mut g)
+        };
+        let serial: Vec<_> = us.iter().map(|&u| governed(u)).collect();
         for workers in WORKER_COUNTS {
             let pool = Pool::new(workers);
-            let batch =
-                select_batch_guarded(&t, &formula, phi.x(), &us, phi.y(), &pool, make);
+            let batch = pool.scoped(us.len(), |i| governed(us[i]));
             prop_assert_eq!(batch.len(), serial.len());
             for (i, (b, s)) in batch.iter().zip(&serial).enumerate() {
                 match (b, s) {

@@ -5,12 +5,15 @@
 
 use proptest::prelude::*;
 
-use twq::automata::{examples, run_batch_governed, run_batch_profiled, Limits};
+use twq::automata::{examples, run_in, run_with, Limits};
 use twq::exec::Pool;
-use twq::guard::ResourceGuard;
-use twq::obs::{EventSink, FlameProfiler, Histogram, MetricsCollector, Registry, Snapshot};
+use twq::guard::{GuardStats, ResourceGuard};
+use twq::obs::{
+    EventSink, FlameProfiler, Histogram, MetricsCollector, NullCollector, Registry, RunMetrics,
+    Snapshot,
+};
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{Tree, Vocab};
+use twq::tree::{DelimTree, Tree, Vocab};
 
 /// A deterministic value stream (splitmix64) — the vendored proptest
 /// shim has no collection strategies, so sample vectors derive from a
@@ -142,20 +145,32 @@ proptest! {
         let mut vocab = Vocab::new();
         let ex = examples::example_32(&mut vocab);
         let (_, trees) = batch(seed, 7);
-        let (r1, m1, p1) = run_batch_profiled(&ex.program, &trees, Limits::default(), &Pool::new(1));
-        let (r4, m4, p4) = run_batch_profiled(&ex.program, &trees, Limits::default(), &Pool::new(4));
+        // A metered batch: one collector per item, merged in input order.
+        let metered = |pool: &Pool| {
+            let (runs, stats) = pool.scoped_with_stats(trees.len(), |i| {
+                let mut mc = MetricsCollector::new();
+                let dt = DelimTree::build(&trees[i]);
+                let r = run_with(&ex.program, &dt, Limits::default(), &mut mc);
+                (r, mc.into_metrics())
+            });
+            let mut merged = RunMetrics::new();
+            for (_, m) in &runs {
+                merged.merge(m);
+            }
+            (runs, merged, stats)
+        };
+        let (r1, m1, s1) = metered(&Pool::new(1));
+        let (r4, m4, s4) = metered(&Pool::new(4));
         prop_assert_eq!(r1.len(), r4.len());
-        for (a, b) in r1.iter().zip(&r4) {
+        for ((a, _), (b, _)) in r1.iter().zip(&r4) {
             prop_assert_eq!(a.accepted(), b.accepted());
             prop_assert_eq!(a.steps, b.steps);
         }
         prop_assert_eq!(m1.steps, m4.steps);
         prop_assert_eq!(m1.halt, m4.halt);
-        let (t1, t4) = (p1.stats.totals(), p4.stats.totals());
+        let (t1, t4) = (s1.totals(), s4.totals());
         prop_assert_eq!(t1.tasks, trees.len() as u64);
         prop_assert_eq!(t4.tasks, trees.len() as u64);
-        prop_assert_eq!(p1.latencies_ns.len(), trees.len());
-        prop_assert_eq!(p4.latencies_ns.len(), trees.len());
         // Serial execution neither steals nor spins.
         prop_assert_eq!(t1.steals, 0);
         prop_assert_eq!(t1.idle_spins, 0);
@@ -168,9 +183,24 @@ proptest! {
         let mut vocab = Vocab::new();
         let ex = examples::example_32(&mut vocab);
         let (_, trees) = batch(seed, 6);
-        let make = || ResourceGuard::unlimited().with_budget(budget);
-        let (r1, g1) = run_batch_governed(&ex.program, &trees, Limits::default(), &Pool::new(1), make);
-        let (r4, g4) = run_batch_governed(&ex.program, &trees, Limits::default(), &Pool::new(4), make);
+        // A governed batch: a fresh guard per item, stats merged in input
+        // order.
+        let governed = |pool: &Pool| {
+            let runs = pool.scoped(trees.len(), |i| {
+                let mut g = ResourceGuard::unlimited().with_budget(budget);
+                let dt = DelimTree::build(&trees[i]);
+                let r = run_in(&ex.program, &dt, Limits::default(), &mut NullCollector, &mut g);
+                (r, g.stats())
+            });
+            let mut merged = GuardStats::default();
+            for (_, s) in &runs {
+                merged.merge(s);
+            }
+            let verdicts: Vec<_> = runs.into_iter().map(|(r, _)| r).collect();
+            (verdicts, merged)
+        };
+        let (r1, g1) = governed(&Pool::new(1));
+        let (r4, g4) = governed(&Pool::new(4));
         prop_assert_eq!(&g1, &g4);
         prop_assert_eq!(g1.budget_trips, r1.iter().filter(|r| r.is_err()).count() as u64);
         for (a, b) in r1.iter().zip(&r4) {

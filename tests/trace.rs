@@ -4,14 +4,30 @@
 
 use proptest::prelude::*;
 
-use twq::automata::{examples, trace_batch, trace_run, Limits};
+use twq::automata::{examples, run_with, Limits, TwProgram};
 use twq::exec::Pool;
+use twq::guard::NullGuard;
 use twq::logic::eval::{eval, Assignment};
 use twq::logic::fo::build as fob;
-use twq::logic::{trace_sentence, Formula, Var};
-use twq::obs::{diff, Span, SpanKind, Trace, Verdict};
+use twq::logic::{eval_sentence_in, Formula, Var};
+use twq::obs::{diff, Span, SpanKind, Trace, TraceCollector, Verdict};
 use twq::tree::generate::{random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, Label, NodeId, Tree, Vocab};
+
+/// A batch traced the way any observed batch is: one collector per item
+/// on whichever worker runs it, merged in input order.
+fn traced_batch(prog: &TwProgram, trees: &[Tree], pool: &Pool) -> (Vec<bool>, Trace) {
+    let (accepted, traces) = pool
+        .scoped(trees.len(), |i| {
+            let dt = DelimTree::build(&trees[i]);
+            let (r, t) =
+                TraceCollector::record("run", |c| run_with(prog, &dt, Limits::default(), c));
+            (r.accepted(), t)
+        })
+        .into_iter()
+        .unzip();
+    (accepted, Trace::merge_batch("run_batch", traces))
+}
 
 /// Follow the chain of successful ∃ spans: each true existential span
 /// carries its winning witness, and the successful candidate's recursion
@@ -71,12 +87,9 @@ proptest! {
         let ex = examples::example_32(&mut vocab);
         let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[1, 2]);
         let trees: Vec<Tree> = (0..5).map(|i| random_tree(&cfg, seed + i)).collect();
-        let (r1, t1) = trace_batch(&ex.program, &trees, Limits::default(), &Pool::new(1));
-        let (r4, t4) = trace_batch(&ex.program, &trees, Limits::default(), &Pool::new(4));
-        prop_assert_eq!(
-            r1.iter().map(|r| r.accepted()).collect::<Vec<_>>(),
-            r4.iter().map(|r| r.accepted()).collect::<Vec<_>>()
-        );
+        let (r1, t1) = traced_batch(&ex.program, &trees, &Pool::new(1));
+        let (r4, t4) = traced_batch(&ex.program, &trees, &Pool::new(4));
+        prop_assert_eq!(r1, r4);
         prop_assert_eq!(t1.to_json_line(), t4.to_json_line());
     }
 
@@ -95,7 +108,9 @@ proptest! {
         let sigma = Label::Sym(cfg.symbols[0]);
         let delta = Label::Sym(*cfg.symbols.last().unwrap());
         let (sentence, matrix) = exists_prefix_sentence(k, bits, sigma, delta);
-        let (verdict, trace) = trace_sentence(&t, &sentence);
+        let (verdict, trace) = TraceCollector::record("eval_sentence", |c| {
+            eval_sentence_in(&t, &sentence, c, &mut NullGuard)
+        });
         prop_assume!(verdict == Ok(true));
         let outer = trace
             .root
@@ -121,7 +136,8 @@ proptest! {
         let ex = examples::example_32(&mut vocab);
         let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[1, 2]);
         let dt = DelimTree::build(&random_tree(&cfg, seed));
-        let (_, trace) = trace_run(&ex.program, &dt, Limits::default());
+        let (_, trace) =
+            TraceCollector::record("run", |c| run_with(&ex.program, &dt, Limits::default(), c));
         prop_assert_eq!(diff(&trace, &trace), None);
         let back = Trace::from_json_line(&trace.to_json_line()).unwrap();
         prop_assert_eq!(diff(&trace, &back), None);
