@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twq_index::{CostModel, Force, TreeIndex};
-use twq_rw::{plan_indexed, run_query_indexed, IndexedEvaluator, RewriteCtx};
+use twq_rw::{execute_plan, plan_query, Evaluator, RewriteCtx};
 use twq_tree::generate::{random_tree, TreeGenConfig};
 use twq_tree::{Tree, Vocab};
 use twq_xpath::ast::xb;
@@ -58,28 +58,35 @@ fn bench(c: &mut Criterion) {
     let q_value = xb::filter_attr_const(xb::from_desc(xb::wild()), attr_a, rare_val);
     let q_join = xb::filter_attr_attr(xb::from_desc(xb::wild()), attr_a, attr_b);
 
-    // Sanity before pricing: the twins agree, the planner picks the index
-    // for the selective queries and refuses it for the join.
+    // One planned run: rewrite + compile + estimate + the chosen evaluator.
+    let run = |q: &XPath, force| {
+        execute_plan(
+            &tree,
+            Some(&idx),
+            &plan_query(q, &ctx, Some(&idx), &model, force),
+        )
+    };
+    // Sanity before pricing: the forced index plan agrees with the walk,
+    // the planner picks the index for the selective queries and refuses it
+    // for the join.
     for q in [&q_label, &q_value, &q_join] {
-        let (got, _) = run_query_indexed(&tree, &idx, q, &ctx, &model, Force::Index);
         assert_eq!(
-            got,
+            run(q, Force::Index),
             eval_from(&tree, q, tree.root()),
-            "indexed twin diverged"
+            "index plan diverged"
         );
     }
+    let chosen = |q| plan_query(q, &ctx, Some(&idx), &model, Force::Auto).evaluator;
     for q in [&q_label, &q_value] {
-        let plan = plan_indexed(q, &ctx, &idx, &model, Force::Auto);
         assert_eq!(
-            plan.evaluator,
-            IndexedEvaluator::Indexed,
+            chosen(q),
+            Evaluator::Indexed,
             "selective query must be planned onto the index"
         );
     }
-    let join_plan = plan_indexed(&q_join, &ctx, &idx, &model, Force::Auto);
     assert_eq!(
-        join_plan.evaluator,
-        IndexedEvaluator::Walking,
+        chosen(&q_join),
+        Evaluator::Walking,
         "high-cardinality join must fall back to walking"
     );
 
@@ -91,11 +98,7 @@ fn bench(c: &mut Criterion) {
             bch.iter(|| eval_from(&tree, q, tree.root()).len())
         });
         group.bench_with_input(BenchmarkId::new(label, "index"), q, |bch, q| {
-            bch.iter(|| {
-                run_query_indexed(&tree, &idx, q, &ctx, &model, Force::Index)
-                    .0
-                    .len()
-            })
+            bch.iter(|| run(q, Force::Index).len())
         });
     };
     walk_vs_index(&mut group, "selective_label", &q_label);
@@ -111,13 +114,7 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("unselective", "planned"),
         &q_join,
-        |bch, q| {
-            bch.iter(|| {
-                run_query_indexed(&tree, &idx, q, &ctx, &model, Force::Auto)
-                    .0
-                    .len()
-            })
-        },
+        |bch, q| bch.iter(|| run(q, Force::Auto).len()),
     );
 
     // Build amortization: one full index build over the 64k-node tree.

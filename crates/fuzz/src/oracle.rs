@@ -11,15 +11,14 @@
 //! | `eval_sentence` vs `_memo` vs `_par` | boolean verdict |
 //! | `select` vs `select_memo` vs `select_batch` vs `ExistsFormula::select` | node sets, every context node |
 //! | serial `select_in(guard)` vs `pool.scoped(select_in(guard))` | `Ok` set / trip reason, per node |
-//! | `eval_sentence` vs `eval_sentence_rewritten` | boolean verdict |
-//! | `select` vs `fo_select_rewritten` vs `normalize_exists(φ).select` | node sets, every context node |
-//! | `eval_from` vs `eval_from_rewritten` | node sets, every context node |
-//! | `eval_pairs` vs `eval_pairs_rewritten` | the full binary relation |
-//! | `eval_from` vs `run_query_planned` | root node set, certificate-chosen evaluator |
+//! | `eval_sentence` vs `eval_sentence(normalize_formula(φ))` | boolean verdict |
+//! | `select` vs `select(normalize_formula(φ))` vs `normalize_exists(φ).select` | node sets, every context node |
+//! | `eval_from` vs `eval_from(normal form)` | node sets, every context node |
+//! | `eval_pairs` vs `eval_pairs(normal form)` | the full binary relation |
 //! | `select` vs `fo_select_routed` | node sets, every context node, fragment-routed |
-//! | `eval_from` vs `select_indexed` | node sets, every context node, bitset algebra |
-//! | `eval_from` vs `run_query_indexed` | root node set, forced walk / forced index / cost-based |
-//! | `run_routed(compile(p))` vs `run_query_routed(p)` | acceptance, certificate-aware routing |
+//! | `eval_from` vs `eval_plan_from(compile_xpath(p))` | node sets, every context node, bitset algebra |
+//! | `eval_from` vs `execute_plan(plan_query(p))` | root node set; no index (certificate-chosen), and an index under `Auto`/`Index`/`Walk` |
+//! | `run_routed(compile(p))` vs `run_routed(compile(normal form))` | acceptance |
 //! | near-miss builder spec | rejected with the intended `ProgramError` |
 //! | smelly program | analyzer diagnostics non-empty or pruner fired |
 //!
@@ -33,7 +32,7 @@ use twq_analyze::{analyze, prune, run_routed};
 use twq_automata::{run, run_batch, run_in, run_with, Limits, TwProgram};
 use twq_exec::Pool;
 use twq_guard::{Guard, GuardError, ResourceGuard, TwqError};
-use twq_index::{fo_select_routed, select_indexed, CostModel, Force, TreeIndex};
+use twq_index::{compile_xpath, eval_plan_from, fo_select_routed, CostModel, Force, TreeIndex};
 use twq_logic::fo::build::exists;
 use twq_logic::{
     eval_sentence, eval_sentence_memo, eval_sentence_par, select, select_batch, select_in,
@@ -41,8 +40,7 @@ use twq_logic::{
 };
 use twq_obs::{diff as trace_diff, Divergence, NullCollector, Trace, TraceCollector, Verdict};
 use twq_rw::{
-    eval_from_rewritten, eval_pairs_rewritten, eval_sentence_rewritten, fo_select_rewritten,
-    normalize_exists, run_query_indexed, run_query_planned, run_query_routed, RewriteCtx,
+    execute_plan, normalize_exists, normalize_formula, plan_query, rewrite_in, RewriteCtx,
 };
 use twq_tree::{DelimTree, NodeId};
 use twq_xpath::{eval_from, eval_pairs, xpath_to_program};
@@ -444,27 +442,28 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
         }
     }
 
-    // 3. The rewritten FO twins: normalization must change nothing
+    // 3. The FO normal forms: normalization must change nothing
     // observable, for the closed sentence, the raw matrix from every
     // context node, and the prenex FO(∃*) backtracking selector.
-    match eval_sentence_rewritten(tree, &sentence) {
+    match eval_sentence(tree, &normalize_formula(&sentence)) {
         Ok(b) if b == naive => {}
         other => {
             return Some(Discrepancy::new(
-                "eval_sentence vs eval_sentence_rewritten",
-                format!("naive={naive} rewritten={other:?}"),
+                "eval_sentence vs eval_sentence(normal form)",
+                format!("naive={naive} normalized={other:?}"),
             ))
         }
     }
+    let formula_norm = normalize_formula(&formula);
     let phi_norm = normalize_exists(phi);
     let idx = TreeIndex::build(tree);
     for (i, &u) in us.iter().enumerate() {
-        match fo_select_rewritten(tree, &formula, phi.x(), u, phi.y()) {
+        match select(tree, &formula_norm, phi.x(), u, phi.y()) {
             Ok(s) if s == serial[i] => {}
             other => {
                 return Some(Discrepancy::new(
-                    "select vs fo_select_rewritten",
-                    format!("node {u}: naive={:?} rewritten={other:?}", serial[i]),
+                    "select vs select(normal form)",
+                    format!("node {u}: naive={:?} normalized={other:?}", serial[i]),
                 ))
             }
         }
@@ -489,90 +488,74 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
         }
     }
 
-    // 4. The rewritten XPath twins, when the source query is known: the
-    // rewrite engine, the certificate-driven planner, and the
-    // certificate-aware routed acceptor must all reproduce the naive
-    // relational answers exactly.
+    // 4. The XPath normal form, the index algebra and the planner, when
+    // the source query is known: each must reproduce the naive relational
+    // answers exactly.
     if let Some(path) = &case.path {
+        let normal = rewrite_in(path, &RewriteCtx::unconstrained()).output;
         let direct_pairs = eval_pairs(tree, path);
-        let rewritten_pairs = eval_pairs_rewritten(tree, path);
-        if rewritten_pairs != direct_pairs {
+        let normal_pairs = eval_pairs(tree, &normal);
+        if normal_pairs != direct_pairs {
             return Some(Discrepancy::new(
-                "eval_pairs vs eval_pairs_rewritten",
-                format!("direct={direct_pairs:?} rewritten={rewritten_pairs:?}"),
+                "eval_pairs vs eval_pairs(normal form)",
+                format!("direct={direct_pairs:?} normalized={normal_pairs:?}"),
             ));
         }
+        let compiled = compile_xpath(path);
         for &u in &us {
             let direct = eval_from(tree, path, u);
-            let rewritten = eval_from_rewritten(tree, path, u);
-            if rewritten != direct {
+            let normalized = eval_from(tree, &normal, u);
+            if normalized != direct {
                 return Some(Discrepancy::new(
-                    "eval_from vs eval_from_rewritten",
-                    format!("node {u}: direct={direct:?} rewritten={rewritten:?}"),
+                    "eval_from vs eval_from(normal form)",
+                    format!("node {u}: direct={direct:?} normalized={normalized:?}"),
                 ));
             }
-            let via_index = select_indexed(tree, &idx, path, u);
+            let via_index = eval_plan_from(tree, &idx, &compiled, u);
             if via_index != direct {
                 return Some(Discrepancy::new(
-                    "eval_from vs select_indexed",
+                    "eval_from vs eval_plan_from",
                     format!("node {u}: direct={direct:?} indexed={via_index:?}"),
                 ));
             }
         }
-        // The planner may route to the streaming evaluator or short-circuit
-        // on an Empty certificate; either way the root answer is fixed.
-        let ctx = RewriteCtx::unconstrained().with_alphabet(case.alphabet.iter().copied());
+        // The planner without an index may stream or short-circuit on an
+        // Empty certificate; with one, forced walk, forced index and the
+        // cost model's own pick must all reproduce the naive root answer.
         let root_direct = eval_from(tree, path, tree.root());
-        let (planned, plan) = run_query_planned(tree, path, &ctx);
-        if planned != root_direct {
-            return Some(Discrepancy::new(
-                "eval_from vs run_query_planned",
-                format!(
-                    "evaluator={:?}: direct={root_direct:?} planned={planned:?}",
-                    plan.evaluator
-                ),
-            ));
-        }
-        // The cost-based index planner, under every override: forced walk,
-        // forced index, and the cost model's own pick must all reproduce
-        // the naive root answer.
+        let ctx = RewriteCtx::unconstrained().with_alphabet(case.alphabet.iter().copied());
         let model = CostModel::default();
-        for force in [Force::Auto, Force::Index, Force::Walk] {
-            let (ix_out, ix_plan) = run_query_indexed(tree, &idx, path, &ctx, &model, force);
-            if ix_out != root_direct {
+        for (index, force) in [
+            (None, Force::Auto),
+            (Some(&idx), Force::Auto),
+            (Some(&idx), Force::Index),
+            (Some(&idx), Force::Walk),
+        ] {
+            let plan = plan_query(path, &ctx, index, &model, force);
+            let planned = execute_plan(tree, index, &plan);
+            if planned != root_direct {
                 return Some(Discrepancy::new(
-                    "eval_from vs run_query_indexed",
+                    "eval_from vs execute_plan",
                     format!(
-                        "force={force:?} evaluator={:?}: direct={root_direct:?} indexed={ix_out:?}",
-                        ix_plan.evaluator
+                        "indexed={} force={force:?} evaluator={:?}: direct={root_direct:?} planned={planned:?}",
+                        index.is_some(),
+                        plan.evaluator
                     ),
                 ));
             }
         }
-        // Routed acceptance: compile the *unrewritten* query and route it
-        // naively; the certificate-aware router must agree even when it
-        // decides without walking (provably-empty short-circuit).
+        // Routed acceptance: the acceptor compiled from the query and the
+        // one compiled from its normal form must agree.
         let delim = DelimTree::build(tree);
-        let naive_prog = xpath_to_program(path, &case.alphabet, case.id_attr, case.test);
-        let naive_routed = run_routed(&naive_prog, &delim, FUZZ_LIMITS);
-        let certified = run_query_routed(
-            path,
-            &delim,
-            &case.alphabet,
-            case.id_attr,
-            case.test,
-            FUZZ_LIMITS,
-        );
-        if certified.accepted != naive_routed.accepted {
+        let compile = |p| xpath_to_program(p, &case.alphabet, case.id_attr, case.test);
+        let naive_routed = run_routed(&compile(path), &delim, FUZZ_LIMITS);
+        let normal_routed = run_routed(&compile(&normal), &delim, FUZZ_LIMITS);
+        if normal_routed.accepted != naive_routed.accepted {
             return Some(Discrepancy::new(
-                "run_routed vs run_query_routed",
+                "run_routed vs run_routed(normal form)",
                 format!(
-                    "test={:?}: naive accepted={} certified accepted={} (walked={}, {:?})",
-                    case.test,
-                    naive_routed.accepted,
-                    certified.accepted,
-                    certified.routed.is_some(),
-                    certified.rewritten.certificate
+                    "test={:?}: naive accepted={} normalized accepted={}",
+                    case.test, naive_routed.accepted, normal_routed.accepted
                 ),
             ));
         }

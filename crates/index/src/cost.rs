@@ -1,7 +1,7 @@
 //! The walk-vs-index cost model.
 //!
 //! Both sides are priced in (approximate) nanoseconds from three
-//! calibrated unit costs:
+//! measured unit costs:
 //!
 //! * `word_ns` — one 64-bit word touched by a bitset operation;
 //! * `row_ns` — one row materialized through a link-following expansion
@@ -12,13 +12,9 @@
 //! Index-plan cost and cardinality are estimated bottom-up from postings
 //! lengths and the build-time [`IndexStats`]; walking cost mirrors
 //! `eval_from`'s recursion symbolically. The defaults are measured against
-//! the `index_speedup` bench; [`CostModel::calibrated`] rescales them from
-//! the `index/act_*` vs `index/est_*` registry counters a telemetered
-//! session accumulates, closing the estimated-vs-actual loop. Estimates
-//! only need to *rank* the two evaluators correctly — both sides are
-//! priced with the same crudeness.
+//! the `index_speedup` bench. Estimates only need to *rank* the two
+//! evaluators correctly — both sides are priced with the same crudeness.
 
-use twq_obs::Registry;
 use twq_xpath::{walk_cost, WalkParams, XPath};
 
 use crate::build::{IndexStats, TreeIndex};
@@ -217,31 +213,5 @@ impl CostModel {
                 }
             }
         }
-    }
-
-    /// Rescale the default units from a session registry's accumulated
-    /// actual-vs-estimated counters (`index/act_index_ns` /
-    /// `index/est_index_ns` and the walk pair), recorded by
-    /// `run_query_indexed_with`. Counters absent ⇒ defaults unchanged.
-    pub fn calibrated(reg: &Registry) -> CostModel {
-        let mut m = CostModel::default();
-        let scale = |act: u64, est: u64| {
-            if act > 0 && est > 0 {
-                act as f64 / est as f64
-            } else {
-                1.0
-            }
-        };
-        let si = scale(
-            reg.counter("index/act_index_ns"),
-            reg.counter("index/est_index_ns"),
-        );
-        m.word_ns *= si;
-        m.row_ns *= si;
-        m.walk_node_ns *= scale(
-            reg.counter("index/act_walk_ns"),
-            reg.counter("index/est_walk_ns"),
-        );
-        m
     }
 }

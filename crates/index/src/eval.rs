@@ -8,12 +8,10 @@
 //! result back out.
 
 use twq_logic::ExistsFormula;
-use twq_obs::{Collector, NullCollector};
 use twq_tree::{AttrId, NodeId, NodeSet, Tree};
-use twq_xpath::XPath;
 
 use crate::build::TreeIndex;
-use crate::compile::{compile_exists, compile_xpath};
+use crate::compile::compile_exists;
 use crate::plan::{Axis, IxPlan};
 
 /// Every pre-order position of the indexed tree.
@@ -177,54 +175,18 @@ pub fn eval_plan_from(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, x: NodeId) ->
     out
 }
 
-/// The indexed twin of `eval_from`: compile and evaluate in one call.
-/// Identical results on every tree and query (`tests/index.rs` and the
-/// fuzz oracle enforce this); reuse the compiled plan via
-/// [`compile_xpath`] + [`eval_plan_from`] when running many contexts.
-pub fn select_indexed(tree: &Tree, idx: &TreeIndex, path: &XPath, x: NodeId) -> NodeSet {
-    eval_plan_from(tree, idx, &compile_xpath(path), x)
-}
-
-/// The indexed twin of [`ExistsFormula::select`], when the formula is in
-/// the positive two-variable fragment — `None` means out of fragment (the
-/// caller should walk).
-pub fn fo_select_indexed(
-    tree: &Tree,
-    idx: &TreeIndex,
-    phi: &ExistsFormula,
-    u: NodeId,
-) -> Option<NodeSet> {
-    compile_exists(phi).map(|plan| eval_plan_from(tree, idx, &plan, u))
-}
-
-/// [`fo_select_indexed`] with the walking fallback folded in: always
-/// answers, reporting whether the index (`true`) or the backtracking
-/// evaluator (`false`) produced the result.
+/// [`ExistsFormula::select`] routed by fragment: formulas in the
+/// positive two-variable fragment run as a compiled index plan, the rest
+/// on the backtracking evaluator. Reports whether the index (`true`) or
+/// the backtracking evaluator (`false`) produced the result.
 pub fn fo_select_routed(
     tree: &Tree,
     idx: &TreeIndex,
     phi: &ExistsFormula,
     u: NodeId,
 ) -> (NodeSet, bool) {
-    fo_select_routed_with(tree, idx, phi, u, &mut NullCollector)
-}
-
-/// [`fo_select_routed`] with instrumentation: each out-of-fragment
-/// fallback bumps the `index/fallback` counter through `c`.
-pub fn fo_select_routed_with<C: Collector>(
-    tree: &Tree,
-    idx: &TreeIndex,
-    phi: &ExistsFormula,
-    u: NodeId,
-    c: &mut C,
-) -> (NodeSet, bool) {
-    match fo_select_indexed(tree, idx, phi, u) {
-        Some(out) => (out, true),
-        None => {
-            if C::ENABLED {
-                c.counter("index/fallback", 1);
-            }
-            (phi.select(tree, u), false)
-        }
+    match compile_exists(phi) {
+        Some(plan) => (eval_plan_from(tree, idx, &plan, u), true),
+        None => (phi.select(tree, u), false),
     }
 }

@@ -16,11 +16,12 @@
 //!   pre-order pass; [`build_indexes`] batches builds across a pool.
 //! * [`IxPlan`] ([`plan`] / [`compile`] / [`eval`]) — the index algebra,
 //!   compilers from XPath (total) and FO(∃*) (positive two-variable
-//!   fragment, `None` ⇒ walk), and the bitset evaluator with its
-//!   [`select_indexed`] / [`fo_select_indexed`] twins.
-//! * [`CostModel`] ([`cost`]) — calibrated unit costs pricing index plans
-//!   against [`twq_xpath::walk_cost`] estimates; `twq-rw`'s
-//!   `plan_indexed` routes on the verdict.
+//!   fragment, `None` ⇒ walk), the bitset evaluator [`eval_plan_from`],
+//!   and [`fo_select_routed`], the one FO(∃*) entry (index plan in the
+//!   fragment, backtracking outside it).
+//! * [`CostModel`] ([`cost`]) — measured unit costs pricing index plans
+//!   against [`twq_xpath::walk_cost`] estimates; `twq-rw`'s planner
+//!   (`plan_query` with an index) routes on the verdict.
 
 pub mod build;
 pub mod compile;
@@ -31,10 +32,7 @@ pub mod plan;
 pub use build::{build_indexes, IndexScratch, IndexStats, TreeIndex};
 pub use compile::{compile_exists, compile_xpath};
 pub use cost::{Choice, CostModel, Estimate, Force};
-pub use eval::{
-    eval_plan_from, eval_plan_pre, fo_select_indexed, fo_select_routed, fo_select_routed_with,
-    select_indexed,
-};
+pub use eval::{eval_plan_from, eval_plan_pre, fo_select_routed};
 pub use plan::{Axis, IxPlan};
 
 #[cfg(test)]
@@ -56,9 +54,10 @@ mod tests {
     fn assert_twins(v: &mut Vocab, t: &Tree, expr: &str) {
         let idx = TreeIndex::build(t);
         let p = parse_xpath(expr, v).unwrap();
+        let plan = compile_xpath(&p);
         for x in t.node_ids() {
             assert_eq!(
-                select_indexed(t, &idx, &p, x),
+                eval_plan_from(t, &idx, &plan, x),
                 eval_from(t, &p, x),
                 "query `{expr}` from {x:?}"
             );

@@ -14,9 +14,10 @@
 //!   incomplete, brute-force-verified on bounded random trees);
 //! * [`stream`] — [`certify`] into [`Certificate`], plus the one-pass
 //!   [`stream_select`] evaluator that validates certificates;
-//! * [`fo`] — FO / FO(∃*) normal forms and the logic evaluator twins;
-//! * [`route`] — the xpath evaluator twins and certificate-aware
-//!   planning ([`plan_query`], [`run_query_routed`]);
+//! * [`fo`] — FO / FO(∃*) normal forms;
+//! * [`route`] — the query planner: one [`QueryPlan`] built by
+//!   [`plan_query`] (certificate, and cost when the tree is indexed) and
+//!   run by [`execute_plan`];
 //! * [`diag`] — the `RW`/`ST` diagnostic codes extending the
 //!   `twq-analyze` taxonomy to queries.
 //!
@@ -38,13 +39,11 @@ use twq_xpath::XPath;
 
 pub use contain::{contains, is_self_relation, pred_tautology, provably_empty, RewriteCtx};
 pub use diag::{query_severity_counts, QueryDiagnostic, Severity};
-pub use fo::{eval_sentence_rewritten, fo_select_rewritten, normalize_exists, normalize_formula};
+pub use fo::{normalize_exists, normalize_formula};
 pub use norm::{apply_rule_deep, normalize, normalize_in, normalize_seeded};
 pub use route::{
-    eval_from_rewritten, eval_pairs_rewritten, plan_indexed, plan_indexed_with, plan_query,
-    run_query_indexed, run_query_indexed_with, run_query_planned, run_query_routed,
-    xpath_to_program_rewritten, IndexedEvaluator, IndexedPlan, PlannedEvaluator, QueryPlan,
-    QueryRouted,
+    execute_plan, plan_indexed, plan_query, run_query_indexed, run_query_planned, Evaluator,
+    IndexedEvaluator, QueryPlan,
 };
 pub use rules::{rule, RwRule, CATALOG};
 pub use stream::{certify, stream_select, stream_select_gauged, Certificate, StreamStats};

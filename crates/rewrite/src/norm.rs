@@ -3,7 +3,8 @@
 //!
 //! Children (including filter-predicate paths) are normalized first; then
 //! rules are applied at the node until none fires, re-normalizing any
-//! subterm a top-level fire rearranged. Every rule strictly simplifies or
+//! subterm a top-level fire rearranged (for `step-assoc`, only the step
+//! spine it rebuilt: see `renest`). Every rule strictly simplifies or
 //! canonically reorders, so the loop converges; a generous fuel bound
 //! makes termination unconditional regardless (idempotence and
 //! confluence-on-samples are asserted in `tests/rewrite.rs`).
@@ -50,27 +51,83 @@ fn prunes_branches(rule: &RwRule) -> bool {
 }
 
 fn norm_rec(p: XPath, ctx: &RewriteCtx, order: &[usize], st: &mut EngineStats) -> XPath {
-    let mut cur = map_children(p, &mut |c| norm_rec(c, ctx, order, st));
+    let cur = map_children(p, &mut |c| norm_rec(c, ctx, order, st));
+    fix(cur, ctx, order, st)
+}
+
+/// Apply rules at the root of `cur`, whose children are already normal,
+/// until none fires.
+fn fix(mut cur: XPath, ctx: &RewriteCtx, order: &[usize], st: &mut EngineStats) -> XPath {
     // Fuel bounds top-level fires at this node; each fire either shrinks
-    // the term or canonically reorders it, so the bound is generous.
-    let mut fuel = 16 + 4 * cur.size();
-    'fix: while fuel > 0 {
+    // the term or canonically reorders it, so the bound is generous. It
+    // is sized on the first fire: most nodes fire nothing.
+    let mut fuel = None;
+    'fix: loop {
         for &ri in order {
             let rule = &CATALOG[ri];
             if let Some(next) = (rule.apply)(&cur, ctx) {
                 debug_assert_ne!(next, cur, "rule {} fired without changing", rule.name);
+                let fuel = fuel.get_or_insert_with(|| 16 + 4 * cur.size());
+                if *fuel == 0 {
+                    break 'fix;
+                }
+                *fuel -= 1;
                 *st.fired.entry(rule.name).or_insert(0) += 1;
                 if prunes_branches(rule) {
                     st.pruned += spine_len(&cur).saturating_sub(spine_len(&next));
                 }
-                cur = map_children(next, &mut |c| norm_rec(c, ctx, order, st));
-                fuel -= 1;
+                cur = if rule.name == "step-assoc" {
+                    map_step(next, |b| renest(b, ctx, order, st))
+                } else {
+                    map_children(next, &mut |c| norm_rec(c, ctx, order, st))
+                };
                 continue 'fix;
             }
         }
         break;
     }
     cur
+}
+
+/// Rebuild a step `a ∘ b` as `a ∘ f(b)`.
+fn map_step(p: XPath, f: impl FnOnce(XPath) -> XPath) -> XPath {
+    match p {
+        XPath::Child(a, b) => XPath::Child(a, Box::new(f(*b))),
+        XPath::Descendant(a, b) => XPath::Descendant(a, Box::new(f(*b))),
+        other => unreachable!("step-assoc yields a step, got {other:?}"),
+    }
+}
+
+/// Finish one `step-assoc` fire. The fire turned `(a ∘ b) ∘' c` into
+/// `a ∘ (b ∘' c)` with `a`, `b` and `c` normal, so `a` stays as it is and
+/// `b ∘' c` is normalized here. While `b` is itself a step `y ∘ z`, the
+/// rule would fire again at once, so the chain is re-nested within the
+/// same fire — `y ∘ (z ∘' c)`, down `b`'s right spine — and only the
+/// rebuilt spine nodes are fixed, bottom-up. A left-deep chain of `n`
+/// names thus right-associates in `n − 2` fires, each touching only the
+/// spine it rebuilds; firing once per level of the spine would take
+/// `(n−1)(n−2)/2`.
+fn renest(p: XPath, ctx: &RewriteCtx, order: &[usize], st: &mut EngineStats) -> XPath {
+    let (child, l, c) = match p {
+        XPath::Child(l, c) => (true, l, c),
+        XPath::Descendant(l, c) => (false, l, c),
+        other => unreachable!("step-assoc yields a step, got {other:?}"),
+    };
+    let step = |a, b| {
+        if child {
+            XPath::Child(a, b)
+        } else {
+            XPath::Descendant(a, b)
+        }
+    };
+    let rotated = match *l {
+        XPath::Child(y, z) => XPath::Child(y, Box::new(renest(step(z, c), ctx, order, st))),
+        XPath::Descendant(y, z) => {
+            XPath::Descendant(y, Box::new(renest(step(z, c), ctx, order, st)))
+        }
+        b => step(Box::new(b), c),
+    };
+    fix(rotated, ctx, order, st)
 }
 
 pub(crate) fn normalize_stats(p: &XPath, ctx: &RewriteCtx) -> (XPath, EngineStats) {

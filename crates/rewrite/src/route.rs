@@ -1,244 +1,134 @@
-//! Certificate-aware query planning: the rewritten evaluator twins for
-//! `twq-xpath`, and the routing layer that consults the streamability
-//! certificate before picking an evaluator (the front half of the
-//! ROADMAP item 3 planner).
+//! The query planner: one [`QueryPlan`] per query, built by
+//! [`plan_query`] and run by [`execute_plan`].
+//!
+//! Planning rewrites the query once (DESIGN §15) and then picks one of four
+//! physical evaluators from the certificate and, when the tree is
+//! indexed, from the cost model:
+//!
+//! | index | certificate | evaluator |
+//! |-------|-------------|-----------|
+//! | any | `Empty` | [`Evaluator::EmptyShortCircuit`] (no compile, no estimate) |
+//! | `Some` | non-empty | `model.choose(..)`: [`Evaluator::Indexed`] or [`Evaluator::Walking`] |
+//! | `None` | `Streamable` | [`Evaluator::Streaming`] on the normal form |
+//! | `None` | `NotStreamable` | [`Evaluator::Walking`] |
+//!
+//! Every walk evaluates the query *as given*, not the normal form: the
+//! normal form is tuned for the index algebra and the streaming
+//! evaluator, and can carry worse walking constants (filter pushdown
+//! trades one filtered scan for a per-descendant evaluation).
 
-use std::collections::BTreeSet;
-use std::time::Instant;
-
-use twq_analyze::{run_routed, Routed};
-use twq_automata::{Limits, TwProgram};
 use twq_index::{
     compile_xpath, eval_plan_from, Choice, CostModel, Estimate, Force, IxPlan, TreeIndex,
 };
-use twq_obs::{Collector, NullCollector};
-use twq_tree::{AttrId, DelimTree, NodeId, NodeSet, SymId, Tree};
-use twq_xpath::{eval_from, eval_pairs, xpath_to_program, SelectionTest, XPath};
+use twq_tree::{NodeSet, Tree};
+use twq_xpath::{eval_from, XPath};
 
 use crate::contain::RewriteCtx;
 use crate::stream::{stream_select, Certificate};
 use crate::{rewrite_in, Rewritten};
 
-/// `eval_from` through the rewriter: rewrite once, short-circuit provably
-/// empty queries, evaluate the normal form. Byte-identical results to the
-/// naive path (the fuzz oracle and `experiments --rewrite` enforce this).
-pub fn eval_from_rewritten(tree: &Tree, path: &XPath, x: NodeId) -> NodeSet {
-    let rw = rewrite_in(path, &RewriteCtx::unconstrained());
-    if rw.provably_empty {
-        return NodeSet::new();
-    }
-    eval_from(tree, &rw.output, x)
-}
-
-/// `eval_pairs` through the rewriter.
-pub fn eval_pairs_rewritten(tree: &Tree, path: &XPath) -> BTreeSet<(NodeId, NodeId)> {
-    let rw = rewrite_in(path, &RewriteCtx::unconstrained());
-    if rw.provably_empty {
-        return BTreeSet::new();
-    }
-    eval_pairs(tree, &rw.output)
-}
-
-/// Which evaluator the planner picked for a query.
+/// The physical evaluator a [`QueryPlan`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannedEvaluator {
-    /// Provably empty: no evaluation at all.
+pub enum Evaluator {
+    /// Provably empty after rewriting: no evaluation at all.
     EmptyShortCircuit,
-    /// Certified streamable: the one-pass evaluator.
+    /// Certified streamable: the one-pass evaluator on the normal form.
     Streaming,
-    /// The relational reference evaluator.
-    Relational,
+    /// The bitset evaluator over the compiled index plan.
+    Indexed,
+    /// The walking evaluator on the query as given.
+    Walking,
 }
 
-/// A rewritten query plus the evaluator its certificate selects.
+/// The name the benchmark in `perfbench/` matches on; kept until the
+/// next change to that benchmark.
+pub use self::Evaluator as IndexedEvaluator;
+
+/// A rewritten query plus the evaluator chosen for it.
 #[derive(Debug)]
 pub struct QueryPlan {
-    /// The rewrite record (normal form, certificate, diagnostics).
+    /// The rewrite record (input, normal form, certificate, diagnostics).
     pub rewritten: Rewritten,
-    /// The choice the certificate justifies.
-    pub evaluator: PlannedEvaluator,
+    /// The chosen evaluator.
+    pub evaluator: Evaluator,
+    /// The compiled index plan (planned with an index and a non-empty
+    /// certificate only).
+    pub plan: Option<IxPlan>,
+    /// Both sides of the cost comparison (same condition as `plan`).
+    pub estimate: Option<Estimate>,
 }
 
-/// Rewrite `q` under `ctx` and pick an evaluator from its certificate.
-pub fn plan_query(q: &XPath, ctx: &RewriteCtx) -> QueryPlan {
+/// Rewrite `q` under `ctx` and choose its evaluator. With an `index`,
+/// the normal form is compiled into the index algebra and `model` prices
+/// it against a walk (`force` overrides the verdict); without one, the
+/// certificate decides and `model`/`force` are not read.
+pub fn plan_query(
+    q: &XPath,
+    ctx: &RewriteCtx,
+    index: Option<&TreeIndex>,
+    model: &CostModel,
+    force: Force,
+) -> QueryPlan {
     let rewritten = rewrite_in(q, ctx);
-    let evaluator = match &rewritten.certificate {
-        Certificate::Empty => PlannedEvaluator::EmptyShortCircuit,
-        Certificate::Streamable { .. } => PlannedEvaluator::Streaming,
-        Certificate::NotStreamable { .. } => PlannedEvaluator::Relational,
+    let (evaluator, plan, estimate) = match (&rewritten.certificate, index) {
+        (Certificate::Empty, _) => (Evaluator::EmptyShortCircuit, None, None),
+        (_, Some(index)) => {
+            let plan = compile_xpath(&rewritten.output);
+            let estimate = model.estimate(index, &plan, &rewritten.output);
+            let evaluator = match model.choose(&estimate, plan.size(), force) {
+                Choice::Index => Evaluator::Indexed,
+                Choice::Walk => Evaluator::Walking,
+            };
+            (evaluator, Some(plan), Some(estimate))
+        }
+        (Certificate::Streamable { .. }, None) => (Evaluator::Streaming, None, None),
+        (Certificate::NotStreamable { .. }, None) => (Evaluator::Walking, None, None),
     };
     QueryPlan {
         rewritten,
         evaluator,
+        plan,
+        estimate,
     }
 }
 
-/// Evaluate `q` from the root along its plan. Equal to
-/// `eval_from(tree, q, tree.root())` whichever evaluator runs.
-pub fn run_query_planned(tree: &Tree, q: &XPath, ctx: &RewriteCtx) -> (NodeSet, QueryPlan) {
-    let plan = plan_query(q, ctx);
-    let out = match plan.evaluator {
-        PlannedEvaluator::EmptyShortCircuit => NodeSet::new(),
-        PlannedEvaluator::Streaming => {
+/// Run `plan` from the root of `tree`. Equal to
+/// `eval_from(tree, q, tree.root())` whichever evaluator runs (the fuzz
+/// oracle and `experiments --index` enforce this). `index` must be the
+/// one the plan was made with.
+pub fn execute_plan(tree: &Tree, index: Option<&TreeIndex>, plan: &QueryPlan) -> NodeSet {
+    match plan.evaluator {
+        Evaluator::EmptyShortCircuit => NodeSet::new(),
+        Evaluator::Streaming => {
             stream_select(tree, &plan.rewritten.output)
                 .expect("certified streamable")
                 .0
         }
-        PlannedEvaluator::Relational => eval_from(tree, &plan.rewritten.output, tree.root()),
-    };
-    (out, plan)
-}
-
-/// Compile the *rewritten* query to a `tw^{r,l}` acceptor, returning the
-/// rewrite record alongside (its certificate travels with the program).
-pub fn xpath_to_program_rewritten(
-    query: &XPath,
-    alphabet: &[SymId],
-    id_attr: AttrId,
-    test: SelectionTest,
-) -> (TwProgram, Rewritten) {
-    let rw = rewrite_in(query, &RewriteCtx::unconstrained());
-    let prog = xpath_to_program(&rw.output, alphabet, id_attr, test);
-    (prog, rw)
-}
-
-/// A certificate-aware routed run of a query acceptor.
-#[derive(Debug)]
-pub struct QueryRouted {
-    /// The rewrite record consulted before routing.
-    pub rewritten: Rewritten,
-    /// The analyze-layer routing record, when a walk actually ran
-    /// (`None` when the certificate short-circuited it).
-    pub routed: Option<Routed>,
-    /// The acceptance verdict.
-    pub accepted: bool,
-}
-
-/// Route a query end to end: consult the rewrite certificate first — a
-/// provably-empty query is decided without compiling or walking — then
-/// compile the normal form and hand it to `analyze::run_routed`.
-pub fn run_query_routed(
-    query: &XPath,
-    delim: &DelimTree,
-    alphabet: &[SymId],
-    id_attr: AttrId,
-    test: SelectionTest,
-    limits: Limits,
-) -> QueryRouted {
-    let rw = rewrite_in(query, &RewriteCtx::unconstrained());
-    if rw.provably_empty {
-        // An empty selection accepts exactly the vacuous test.
-        let accepted = matches!(test, SelectionTest::AllValue(..));
-        return QueryRouted {
-            rewritten: rw,
-            routed: None,
-            accepted,
-        };
-    }
-    let prog = xpath_to_program(&rw.output, alphabet, id_attr, test);
-    let routed = run_routed(&prog, delim, limits);
-    let accepted = routed.accepted;
-    QueryRouted {
-        rewritten: rw,
-        routed: Some(routed),
-        accepted,
+        Evaluator::Indexed => eval_plan_from(
+            tree,
+            index.expect("an indexed plan runs on its index"),
+            plan.plan.as_ref().expect("indexed plan present"),
+            tree.root(),
+        ),
+        Evaluator::Walking => eval_from(tree, &plan.rewritten.input, tree.root()),
     }
 }
 
-/// Which evaluator the cost-based planner picked for a query against an
-/// indexed tree (the back half of the ROADMAP item 3 planner: rewrite
-/// first, then price walk against index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexedEvaluator {
-    /// Provably empty after rewriting: no evaluation at all.
-    EmptyShortCircuit,
-    /// The bitset evaluator over the compiled index plan.
-    Indexed,
-    /// The walking evaluator on the rewritten query.
-    Walking,
-}
-
-/// A rewritten query plus the evaluator the cost model selects for one
-/// specific [`TreeIndex`].
-#[derive(Debug)]
-pub struct IndexedPlan {
-    /// The rewrite record (normal form, certificate, diagnostics).
-    pub rewritten: Rewritten,
-    /// The cost model's verdict (or the forced override).
-    pub evaluator: IndexedEvaluator,
-    /// The compiled index plan (`None` after an empty short-circuit).
-    pub plan: Option<IxPlan>,
-    /// Both sides of the cost comparison (`None` after a short-circuit).
-    pub estimate: Option<Estimate>,
-}
-
-/// Rewrite `q` under `ctx`, compile the normal form into the index
-/// algebra, and let `model` pick walk or index for this `index`.
+/// [`plan_query`] with an index. Kept only because `perfbench/` calls
+/// it; fold it into `plan_query` at the next change to that benchmark.
 pub fn plan_indexed(
     q: &XPath,
     ctx: &RewriteCtx,
     index: &TreeIndex,
     model: &CostModel,
     force: Force,
-) -> IndexedPlan {
-    plan_indexed_with(q, ctx, index, model, force, &mut NullCollector)
+) -> QueryPlan {
+    plan_query(q, ctx, Some(index), model, force)
 }
 
-/// [`plan_indexed`] with instrumentation: reports `index/plan_empty`,
-/// `index/plan_indexed`, or `index/plan_walk` through `c`.
-pub fn plan_indexed_with<C: Collector>(
-    q: &XPath,
-    ctx: &RewriteCtx,
-    index: &TreeIndex,
-    model: &CostModel,
-    force: Force,
-    c: &mut C,
-) -> IndexedPlan {
-    let rewritten = crate::rewrite_with(q, ctx, c);
-    if rewritten.provably_empty {
-        if C::ENABLED {
-            c.counter("index/plan_empty", 1);
-        }
-        return IndexedPlan {
-            rewritten,
-            evaluator: IndexedEvaluator::EmptyShortCircuit,
-            plan: None,
-            estimate: None,
-        };
-    }
-    let plan = compile_xpath(&rewritten.output);
-    let estimate = model.estimate(index, &plan, &rewritten.output);
-    let evaluator = match model.choose(&estimate, plan.size(), force) {
-        Choice::Index => IndexedEvaluator::Indexed,
-        Choice::Walk => IndexedEvaluator::Walking,
-    };
-    if C::ENABLED {
-        c.counter(
-            match evaluator {
-                IndexedEvaluator::Indexed => "index/plan_indexed",
-                _ => "index/plan_walk",
-            },
-            1,
-        );
-    }
-    IndexedPlan {
-        rewritten,
-        evaluator,
-        plan: Some(plan),
-        estimate: Some(estimate),
-    }
-}
-
-/// Evaluate `q` from the root along its cost-based plan. Equal to
-/// `eval_from(tree, q, tree.root())` whichever evaluator runs (the fuzz
-/// oracle and `experiments --index` enforce this).
-///
-/// The walking fallback evaluates the query *as given*, not the rewrite
-/// normal form: the planner priced it against a direct walk, and the
-/// normal form (tuned for the index algebra and the streaming evaluator)
-/// can carry different walking constants — e.g. filter pushdown trades
-/// one filtered scan for a per-descendant evaluation. The rewrite still
-/// runs first for the emptiness certificate and plan compilation.
+/// [`plan_query`] + [`execute_plan`] with an index. Kept only because
+/// `perfbench/` calls it; fold it into those two at the next change to
+/// that benchmark.
 pub fn run_query_indexed(
     tree: &Tree,
     index: &TreeIndex,
@@ -246,57 +136,17 @@ pub fn run_query_indexed(
     ctx: &RewriteCtx,
     model: &CostModel,
     force: Force,
-) -> (NodeSet, IndexedPlan) {
-    run_query_indexed_with(tree, index, q, ctx, model, force, &mut NullCollector)
+) -> (NodeSet, QueryPlan) {
+    let plan = plan_query(q, ctx, Some(index), model, force);
+    (execute_plan(tree, Some(index), &plan), plan)
 }
 
-/// [`run_query_indexed`] with instrumentation: alongside the planning
-/// counters it records the actual-vs-estimated pair the chosen side ran at
-/// (`index/act_index_ns` + `index/est_index_ns`, or the walk pair) and the
-/// absolute relative error `index/cost_err_pct` — the feedback
-/// [`CostModel::calibrated`] closes the loop on.
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_indexed_with<C: Collector>(
-    tree: &Tree,
-    index: &TreeIndex,
-    q: &XPath,
-    ctx: &RewriteCtx,
-    model: &CostModel,
-    force: Force,
-    c: &mut C,
-) -> (NodeSet, IndexedPlan) {
-    let plan = plan_indexed_with(q, ctx, index, model, force, c);
-    let t0 = Instant::now();
-    let out = match plan.evaluator {
-        IndexedEvaluator::EmptyShortCircuit => NodeSet::new(),
-        IndexedEvaluator::Indexed => eval_plan_from(
-            tree,
-            index,
-            plan.plan.as_ref().expect("indexed plan present"),
-            tree.root(),
-        ),
-        IndexedEvaluator::Walking => eval_from(tree, q, tree.root()),
-    };
-    if C::ENABLED {
-        if let Some(est) = &plan.estimate {
-            let act = t0.elapsed().as_nanos() as u64;
-            let est_ns = match plan.evaluator {
-                IndexedEvaluator::Indexed => est.index_ns,
-                _ => est.walk_ns,
-            };
-            let (act_key, est_key) = match plan.evaluator {
-                IndexedEvaluator::Indexed => ("index/act_index_ns", "index/est_index_ns"),
-                _ => ("index/act_walk_ns", "index/est_walk_ns"),
-            };
-            c.counter(act_key, act);
-            c.counter(est_key, est_ns as u64);
-            if act > 0 {
-                let err = ((act as f64 - est_ns).abs() / act as f64 * 100.0) as u64;
-                c.counter("index/cost_err_pct", err);
-            }
-        }
-    }
-    (out, plan)
+/// [`plan_query`] + [`execute_plan`] without an index. Kept only because
+/// `perfbench/` calls it; fold it into those two at the next change to
+/// that benchmark.
+pub fn run_query_planned(tree: &Tree, q: &XPath, ctx: &RewriteCtx) -> (NodeSet, QueryPlan) {
+    let plan = plan_query(q, ctx, None, &CostModel::default(), Force::Auto);
+    (execute_plan(tree, None, &plan), plan)
 }
 
 #[cfg(test)]
@@ -305,36 +155,11 @@ mod tests {
     use twq_tree::{parse_tree, Vocab};
     use twq_xpath::ast::xb;
 
+    /// The decision table of the module docs: every certificate, with and
+    /// without an index, under every `Force`; every plan answers like the
+    /// walk.
     #[test]
-    fn planned_run_matches_naive() {
-        let mut v = Vocab::new();
-        let t = parse_tree("sigma(delta(sigma,sigma),sigma(delta))", &mut v).unwrap();
-        let sigma = v.sym("sigma");
-        let delta = v.sym("delta");
-        let ctx = RewriteCtx::unconstrained();
-        let queries = vec![
-            xb::from_desc(xb::name(delta)),
-            xb::union(
-                xb::child(xb::name(sigma), xb::name(delta)),
-                xb::desc(xb::name(sigma), xb::name(delta)),
-            ),
-            xb::filter(xb::from_desc(xb::wild()), xb::name(sigma)),
-        ];
-        for q in queries {
-            let (got, plan) = run_query_planned(&t, &q, &ctx);
-            let want = eval_from(&t, &q, t.root());
-            assert_eq!(
-                got.iter().collect::<Vec<_>>(),
-                want.iter().collect::<Vec<_>>(),
-                "query {} via {:?}",
-                q.display(&v),
-                plan.evaluator
-            );
-        }
-    }
-
-    #[test]
-    fn indexed_run_matches_naive_under_every_force() {
+    fn decision_table() {
         let mut v = Vocab::new();
         let t = parse_tree(
             "lib(book[y=1999](title,author,author),book[y=2001](title,author))",
@@ -342,83 +167,56 @@ mod tests {
         )
         .unwrap();
         let idx = TreeIndex::build(&t);
-        let ctx = RewriteCtx::unconstrained();
+        let [lib, book, author, ghost] = ["lib", "book", "author", "ghost"].map(|s| v.sym(s));
+        let ctx = RewriteCtx::unconstrained().with_alphabet([lib, book, author]);
         let model = CostModel::default();
-        let lib = v.sym("lib");
-        let book = v.sym("book");
-        let author = v.sym("author");
-        let queries = vec![
+        let queries = [
+            xb::name(ghost),
             xb::from_desc(xb::name(author)),
-            xb::child(xb::name(lib), xb::name(book)),
-            xb::filter(xb::from_desc(xb::wild()), xb::name(author)),
+            xb::filter(xb::from_desc(xb::name(book)), xb::name(author)),
         ];
-        for q in &queries {
-            let want = eval_from(&t, q, t.root());
-            for force in [Force::Auto, Force::Index, Force::Walk] {
-                let (got, plan) = run_query_indexed(&t, &idx, q, &ctx, &model, force);
+        let certificates = queries.each_ref().map(|q| rewrite_in(q, &ctx).certificate);
+        assert!(matches!(
+            certificates,
+            [
+                Certificate::Empty,
+                Certificate::Streamable { .. },
+                Certificate::NotStreamable { .. }
+            ]
+        ));
+        use Evaluator::*;
+        for (q, certificate) in queries.iter().zip(&certificates) {
+            for (index, force) in [None, Some(&idx)]
+                .into_iter()
+                .flat_map(|i| [Force::Auto, Force::Index, Force::Walk].map(|f| (i, f)))
+            {
+                let plan = plan_query(q, &ctx, index, &model, force);
+                let want = match (certificate, index, force) {
+                    (Certificate::Empty, _, _) => EmptyShortCircuit,
+                    (_, Some(_), Force::Index) => Indexed,
+                    (_, Some(_), Force::Walk) => Walking,
+                    (_, Some(_), Force::Auto) => {
+                        let est = plan.estimate.expect("an indexed plan is priced");
+                        let size = plan.plan.as_ref().expect("and compiled").size();
+                        match model.choose(&est, size, force) {
+                            Choice::Index => Indexed,
+                            Choice::Walk => Walking,
+                        }
+                    }
+                    (Certificate::Streamable { .. }, None, _) => Streaming,
+                    (Certificate::NotStreamable { .. }, None, _) => Walking,
+                };
+                let row = format!("`{}` index={} {force:?}", q.display(&v), index.is_some());
+                assert_eq!(plan.evaluator, want, "{row}");
+                let compiled = index.is_some() && want != EmptyShortCircuit;
+                assert_eq!(plan.plan.is_some(), compiled, "{row}");
+                assert_eq!(plan.estimate.is_some(), compiled, "{row}");
                 assert_eq!(
-                    got.iter().collect::<Vec<_>>(),
-                    want.iter().collect::<Vec<_>>(),
-                    "query {} forced {force:?} via {:?}",
-                    q.display(&v),
-                    plan.evaluator
+                    execute_plan(&t, index, &plan),
+                    eval_from(&t, q, t.root()),
+                    "{row}"
                 );
-                match force {
-                    Force::Index => assert_eq!(plan.evaluator, IndexedEvaluator::Indexed),
-                    Force::Walk => assert_eq!(plan.evaluator, IndexedEvaluator::Walking),
-                    Force::Auto => assert!(plan.estimate.is_some()),
-                }
             }
         }
-    }
-
-    #[test]
-    fn indexed_plan_short_circuits_provably_empty_queries() {
-        let mut v = Vocab::new();
-        let t = parse_tree("sigma(delta)", &mut v).unwrap();
-        let idx = TreeIndex::build(&t);
-        let sigma = v.sym("sigma");
-        let ghost = v.sym("ghost");
-        let ctx = RewriteCtx::unconstrained().with_alphabet([sigma]);
-        let (out, plan) = run_query_indexed(
-            &t,
-            &idx,
-            &xb::name(ghost),
-            &ctx,
-            &CostModel::default(),
-            Force::Auto,
-        );
-        assert!(out.is_empty());
-        assert_eq!(plan.evaluator, IndexedEvaluator::EmptyShortCircuit);
-        assert!(plan.plan.is_none() && plan.estimate.is_none());
-    }
-
-    #[test]
-    fn empty_certificate_short_circuits_routing() {
-        let mut v = Vocab::new();
-        let t = parse_tree("sigma(delta)", &mut v).unwrap();
-        let sigma = v.sym("sigma");
-        let ghost = v.sym("ghost");
-        let id = v.attr("id");
-        let ctx = RewriteCtx::unconstrained().with_alphabet([sigma]);
-        let plan = plan_query(&xb::name(ghost), &ctx);
-        assert_eq!(plan.evaluator, PlannedEvaluator::EmptyShortCircuit);
-        // Structurally-empty query: label clash needs no ctx at all.
-        let clash = twq_xpath::XPath::Filter(
-            Box::new(xb::name(sigma)),
-            Box::new(twq_xpath::Pred::Path(xb::name(ghost))),
-        );
-        let delim = DelimTree::build(&t);
-        let routed = run_query_routed(
-            &clash,
-            &delim,
-            &[sigma, ghost],
-            id,
-            SelectionTest::NonEmpty,
-            Limits::default(),
-        );
-        assert!(routed.rewritten.provably_empty);
-        assert!(routed.routed.is_none());
-        assert!(!routed.accepted);
     }
 }

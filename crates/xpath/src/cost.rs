@@ -7,7 +7,7 @@
 //! worth of nodes. [`walk_cost`] mirrors that recursion symbolically over
 //! a handful of tree statistics, returning an estimated node-visit count
 //! and output cardinality. The `twq-index` planner multiplies the visit
-//! count by a calibrated per-visit cost to weigh walking against an index
+//! count by a measured per-visit cost to weigh walking against an index
 //! plan; the estimate only needs to be *rankable*, not tight.
 
 use crate::ast::{Pred, XPath};

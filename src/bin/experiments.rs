@@ -45,18 +45,19 @@
 //! A governed run that trips a limit prints its row with an explicit
 //! `limit-tripped` marker instead of hanging or aborting the sweep.
 //!
-//! `--rewrite` routes the query-shaped experiments through the `twq-rw`
-//! rewriter twins — E2's XPath evaluation through `eval_from_rewritten`,
-//! E7's sentence evaluation through `eval_sentence_rewritten` — asserting
+//! `--rewrite` re-answers the query-shaped experiments on their `twq-rw`
+//! normal forms — E2's XPath evaluation on the rewritten query, E7's
+//! sentence evaluation on `normalize_formula` of the sentence — asserting
 //! agreement with the naive path on every row. The printed output is
 //! byte-identical to a run without the flag (CI diffs the two), so the
 //! rewrite layer is exercised without perturbing a single table.
 //!
 //! `--index` routes E2's XPath evaluation through the `twq-index`
-//! bitset-algebra twins as well: every query row is re-answered by
-//! `select_indexed` over a per-tree `TreeIndex` and by the cost-based
-//! `run_query_indexed` planner under every `Force` override, asserting
-//! agreement with the naive path. Like `--rewrite`, the printed output is
+//! bitset algebra as well: every query row is re-answered by
+//! `eval_plan_from` of its compiled plan over a per-tree `TreeIndex`, and
+//! by the `twq-rw` planner (`plan_query` + `execute_plan`) without an
+//! index and with one under every `Force` override, asserting agreement
+//! with the naive path. Like `--rewrite`, the printed output is
 //! byte-identical to a run without the flag (CI diffs the two).
 //!
 //! `--trace PATH` records one representative run per experiment (E1–E7)
@@ -73,7 +74,7 @@ use twq::automata::{
 };
 use twq::exec::{Pool, PoolStats};
 use twq::guard::{FaultPlan, NullGuard, ResourceGuard, TripReason, TwqError};
-use twq::index::{select_indexed, CostModel, Force, TreeIndex};
+use twq::index::{compile_xpath, eval_plan_from, CostModel, Force, TreeIndex};
 use twq::logic::types::{count_classes, TypeConfig};
 use twq::logic::{eval_sentence, eval_sentence_in};
 use twq::obs::{
@@ -86,7 +87,7 @@ use twq::protocol::{
     random_hyperset, run_protocol, run_protocol_in, split_string_tree, HyperGenConfig, Markers,
     ProtocolReport,
 };
-use twq::rw::{eval_from_rewritten, eval_sentence_rewritten, run_query_indexed, RewriteCtx};
+use twq::rw::{execute_plan, normalize_formula, plan_query, rewrite, RewriteCtx};
 use twq::sim::{
     compile_logspace, compile_logspace_guarded, compile_pspace, compile_pspace_guarded,
     delta_count_mod3, eliminate_store, eliminate_store_guarded,
@@ -889,7 +890,7 @@ fn e2_xpath(
             inputs.push((n, q, trees.len() - 1, path));
         }
     }
-    // `--index`: per-tree indexes for the bitset-algebra twins, built
+    // `--index`: per-tree indexes for the index plans and the planner, built
     // serially so the parallel rows only read them.
     let indexes: Vec<TreeIndex> = if use_index {
         trees.iter().map(TreeIndex::build).collect()
@@ -905,35 +906,43 @@ fn e2_xpath(
         } else {
             let d = eval_from(t, path, t.root());
             if use_rewrite {
-                // --rewrite: the twin must reproduce the naive answer
-                // exactly; the printed row is built from the (identical)
-                // naive result, keeping the output byte-stable.
-                let twin = eval_from_rewritten(t, path, t.root());
+                // --rewrite: the normal form must reproduce the naive
+                // answer exactly; the printed row is built from the
+                // (identical) naive result, keeping the output byte-stable.
+                let normal = eval_from(t, &rewrite(path).output, t.root());
                 assert_eq!(
-                    twin, d,
-                    "--rewrite: eval_from_rewritten diverged on `{}`",
+                    normal, d,
+                    "--rewrite: the normal form diverged on `{}`",
                     inputs[i].1
                 );
             }
             if use_index {
-                // --index: same byte-stable twin discipline for the index
-                // algebra — the direct index evaluator and the cost-based
-                // planner under every `Force` override must all reproduce
-                // the naive answer; rows still print from the naive result.
+                // --index: same byte-stable discipline for the index
+                // algebra — the direct index evaluator and the planner,
+                // without an index and with one under every `Force`
+                // override, must all reproduce the naive answer; rows still
+                // print from the naive result.
                 let idx = &indexes[*ti];
-                let twin = select_indexed(t, idx, path, t.root());
+                let indexed = eval_plan_from(t, idx, &compile_xpath(path), t.root());
                 assert_eq!(
-                    twin, d,
-                    "--index: select_indexed diverged on `{}`",
+                    indexed, d,
+                    "--index: eval_plan_from diverged on `{}`",
                     inputs[i].1
                 );
                 let ctx = RewriteCtx::unconstrained();
                 let model = CostModel::default();
-                for force in [Force::Auto, Force::Index, Force::Walk] {
-                    let (planned, _) = run_query_indexed(t, idx, path, &ctx, &model, force);
+                for (index, force) in [
+                    (None, Force::Auto),
+                    (Some(idx), Force::Auto),
+                    (Some(idx), Force::Index),
+                    (Some(idx), Force::Walk),
+                ] {
+                    let plan = plan_query(path, &ctx, index, &model, force);
                     assert_eq!(
-                        planned, d,
-                        "--index: run_query_indexed({force:?}) diverged on `{}`",
+                        execute_plan(t, index, &plan),
+                        d,
+                        "--index: execute_plan({force:?}, indexed={}) diverged on `{}`",
+                        index.is_some(),
                         inputs[i].1
                     );
                 }
@@ -1506,12 +1515,9 @@ fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov, use_rewrite:
                 } else {
                     let b = eval_sentence(&t, &phi).expect("L_m sentence is closed");
                     if use_rewrite {
-                        let twin =
-                            eval_sentence_rewritten(&t, &phi).expect("normal form stays closed");
-                        assert_eq!(
-                            twin, b,
-                            "--rewrite: eval_sentence_rewritten diverged (m={m})"
-                        );
+                        let normal = eval_sentence(&t, &normalize_formula(&phi))
+                            .expect("normal form stays closed");
+                        assert_eq!(normal, b, "--rewrite: the normal form diverged (m={m})");
                     }
                     b
                 };

@@ -45,7 +45,7 @@ use twq::logic::{parse_fo, Formula};
 use twq::obs::{col, Cell, HumanReporter, JsonlReporter, Reporter};
 use twq::protocol::at_most_k_values_program;
 use twq::rw::{
-    normalize_formula, plan_indexed, query_severity_counts, rewrite, Certificate, IndexedEvaluator,
+    normalize_formula, plan_query, query_severity_counts, rewrite, Certificate, Evaluator,
     RewriteCtx, Rewritten,
 };
 use twq::sim::{compile_logspace, compile_pspace, delta_count_mod3};
@@ -417,13 +417,14 @@ fn main() {
             );
             // Execute (parallel): planning is pure in the query and index.
             let plans = pool.scoped(queries.len(), |i| {
-                plan_indexed(&queries[i].1, &ctx, &idx, &model, Force::Auto)
+                plan_query(&queries[i].1, &ctx, Some(&idx), &model, Force::Auto)
             });
             for ((name, _), plan) in queries.iter().zip(&plans) {
                 let evaluator = match plan.evaluator {
-                    IndexedEvaluator::EmptyShortCircuit => "empty",
-                    IndexedEvaluator::Indexed => "index",
-                    IndexedEvaluator::Walking => "walk",
+                    Evaluator::EmptyShortCircuit => "empty",
+                    Evaluator::Streaming => "stream",
+                    Evaluator::Indexed => "index",
+                    Evaluator::Walking => "walk",
                 };
                 let (est_ix, est_walk) = plan.estimate.as_ref().map_or_else(
                     || ("-".to_owned(), "-".to_owned()),

@@ -6,9 +6,9 @@ use twq::automata::{examples, run_on_tree, Action, Dir, Halt, Limits, TwProgramB
 use twq::logic::exists::selectors;
 use twq::logic::store::sbuild::*;
 use twq::logic::{eval_sentence, parse_fo, MAX_NESTING};
-use twq::rw::{certify, normalize_formula, rewrite_in, RewriteCtx};
+use twq::rw::{certify, normalize_formula, rewrite, rewrite_in, RewriteCtx};
 use twq::tree::{parse_tree, tree_to_string, Label, Vocab};
-use twq::xpath::{compile, eval_from, parse_xpath};
+use twq::xpath::{ast::xb, compile, eval_from, parse_xpath};
 
 /// `atp` self-recursion exhausts the nesting budget and reports it.
 #[test]
@@ -275,4 +275,24 @@ fn lint_rejects_over_deep_query_text() {
         assert_eq!(out.status.code(), Some(2), "{}", args[0]);
         assert!(String::from_utf8_lossy(&out.stderr).contains("parse error at byte"));
     }
+}
+
+/// A left-deep step chain `((a/a)/…)/a` right-associates in one
+/// `step-assoc` fire per step at most, not one per pair of steps (44 551
+/// for this chain, the super-cubic normalize this guards against).
+#[test]
+fn left_deep_chain_right_associates_in_linear_fires() {
+    let mut vocab = Vocab::new();
+    let a = xb::name(vocab.sym("a"));
+    let n = 300;
+    let left_deep = (1..n).fold(a.clone(), |acc, _| xb::child(acc, a.clone()));
+    let rw = rewrite(&left_deep);
+    let fires = rw
+        .fired
+        .iter()
+        .find(|(rule, _)| *rule == "step-assoc")
+        .map_or(0, |&(_, k)| k);
+    assert!(fires <= 299, "step-assoc fired {fires} times");
+    let right_nested = (1..n).fold(a.clone(), |acc, _| xb::child(a.clone(), acc));
+    assert_eq!(rw.output, right_nested);
 }

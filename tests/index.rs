@@ -12,11 +12,12 @@ use proptest::prelude::*;
 
 use twq::exec::Pool;
 use twq::index::{
-    build_indexes, compile_exists, fo_select_routed, select_indexed, CostModel, Force, TreeIndex,
+    build_indexes, compile_exists, compile_xpath, eval_plan_from, fo_select_routed, CostModel,
+    Force, TreeIndex,
 };
 use twq::logic::fo::build as fb;
 use twq::logic::{ExistsFormula, Var};
-use twq::rw::{run_query_indexed, IndexedEvaluator, RewriteCtx};
+use twq::rw::{execute_plan, plan_query, Evaluator, RewriteCtx};
 use twq::tree::generate::{
     chain_tree, comb_tree, perfect_tree, random_tree, star_tree, TreeGenConfig,
 };
@@ -44,9 +45,10 @@ fn xcfg(cfg: &TreeGenConfig) -> XPathGenConfig {
 /// Every context node, indexed vs walked, exact set equality.
 fn assert_index_twins(tree: &Tree, path: &XPath) {
     let idx = TreeIndex::build(tree);
+    let plan = compile_xpath(path);
     for u in tree.node_ids() {
         assert_eq!(
-            select_indexed(tree, &idx, path, u),
+            eval_plan_from(tree, &idx, &plan, u),
             eval_from(tree, path, u),
             "context {u:?}"
         );
@@ -72,7 +74,8 @@ proptest! {
         assert_index_twins(&t, &p);
     }
 
-    /// The cost-based planner is transparent under every override.
+    /// The planner is transparent without an index and, with one, under
+    /// every override.
     #[test]
     fn planner_is_transparent_under_every_force(
         tree_seed in 0u64..200,
@@ -87,14 +90,24 @@ proptest! {
         let ctx = RewriteCtx::unconstrained();
         let model = CostModel::default();
         let want = eval_from(&t, &p, t.root());
-        for force in [Force::Auto, Force::Index, Force::Walk] {
-            let (got, plan) = run_query_indexed(&t, &idx, &p, &ctx, &model, force);
+        for (index, force) in [
+            (None, Force::Auto),
+            (None, Force::Index),
+            (Some(&idx), Force::Auto),
+            (Some(&idx), Force::Index),
+            (Some(&idx), Force::Walk),
+        ] {
+            let plan = plan_query(&p, &ctx, index, &model, force);
+            let got = execute_plan(&t, index, &plan);
             prop_assert_eq!(&got, &want, "force {:?} via {:?}", force, plan.evaluator);
-            if plan.evaluator != IndexedEvaluator::EmptyShortCircuit {
-                match force {
-                    Force::Index => prop_assert_eq!(plan.evaluator, IndexedEvaluator::Indexed),
-                    Force::Walk => prop_assert_eq!(plan.evaluator, IndexedEvaluator::Walking),
-                    Force::Auto => {}
+            if plan.evaluator != Evaluator::EmptyShortCircuit {
+                match (index, force) {
+                    // Without an index the certificate decides; `force` is
+                    // not read.
+                    (None, _) => prop_assert_ne!(plan.evaluator, Evaluator::Indexed),
+                    (Some(_), Force::Index) => prop_assert_eq!(plan.evaluator, Evaluator::Indexed),
+                    (Some(_), Force::Walk) => prop_assert_eq!(plan.evaluator, Evaluator::Walking),
+                    (Some(_), Force::Auto) => prop_assert_ne!(plan.evaluator, Evaluator::Streaming),
                 }
             }
         }
@@ -202,16 +215,17 @@ fn batch_builds_are_deterministic() {
     let cfg = hostile_cfg(&mut vocab, 150, Some(2));
     let trees: Vec<Tree> = (0..6).map(|seed| random_tree(&cfg, seed)).collect();
     let q = random_xpath(&xcfg(&cfg), 7);
+    let plan = compile_xpath(&q);
     let serial: Vec<NodeSet> = trees
         .iter()
-        .map(|t| select_indexed(t, &TreeIndex::build(t), &q, t.root()))
+        .map(|t| eval_plan_from(t, &TreeIndex::build(t), &plan, t.root()))
         .collect();
     for workers in [1, 4] {
         let built = build_indexes(&trees, &Pool::new(workers));
         let batch: Vec<NodeSet> = trees
             .iter()
             .zip(&built)
-            .map(|(t, idx)| select_indexed(t, idx, &q, t.root()))
+            .map(|(t, idx)| eval_plan_from(t, idx, &plan, t.root()))
             .collect();
         assert_eq!(batch, serial, "workers={workers}");
     }

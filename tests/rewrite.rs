@@ -11,9 +11,8 @@ use twq::guard::{GaugeKind, MemGauge};
 use twq::logic::fo::build as fb;
 use twq::logic::{eval_sentence, select};
 use twq::rw::{
-    apply_rule_deep, contains, eval_sentence_rewritten, fo_select_rewritten, normalize,
-    normalize_formula, normalize_seeded, provably_empty, rewrite, rule, stream_select_gauged,
-    Certificate, RewriteCtx, CATALOG,
+    apply_rule_deep, contains, normalize, normalize_formula, normalize_seeded, provably_empty,
+    rewrite, rule, stream_select_gauged, Certificate, RewriteCtx, CATALOG,
 };
 use twq::tree::generate::{chain_tree, random_tree, TreeGenConfig};
 use twq::tree::{Tree, Vocab};
@@ -256,12 +255,13 @@ proptest! {
         let t = tree_for(&cfg, tree_seed, 2 + (tree_seed % 6) as usize);
         prop_assert_eq!(
             eval_sentence(&t, &sentence).unwrap(),
-            eval_sentence_rewritten(&t, &sentence).unwrap()
+            eval_sentence(&t, &normalize_formula(&sentence)).unwrap()
         );
+        let formula_norm = normalize_formula(&formula);
         for u in t.node_ids() {
             prop_assert_eq!(
                 select(&t, &formula, phi.x(), u, phi.y()).unwrap(),
-                fo_select_rewritten(&t, &formula, phi.x(), u, phi.y()).unwrap()
+                select(&t, &formula_norm, phi.x(), u, phi.y()).unwrap()
             );
         }
     }
