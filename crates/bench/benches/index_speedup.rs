@@ -1,9 +1,10 @@
 //! Index speedup — what the inverted indexes buy and what they cost.
 //! Four questions, one group, all over a 64k-node tree:
 //!
-//! * `selective_label/*` — `//rare` (one symbol in 64): the walking
-//!   evaluator's full document scan vs. the index plan's range
-//!   intersection, planner included on the index side;
+//! * `selective_label/*` — `//rare` (one symbol in 64): a plain arena
+//!   label scan (the simple baseline), the set-at-a-time walking
+//!   evaluator, and the index plan's range intersection, planner
+//!   included on the index side;
 //! * `selective_value/*` — `//*[@a=v]` (one value in thousands): same
 //!   comparison for the value postings;
 //! * `unselective/*` — a cross-attribute value join over high-cardinality
@@ -11,15 +12,15 @@
 //!   planned run must stay within a few percent of the direct walk;
 //! * `build/*` — one full index build, the cost the first query amortizes.
 //!
-//! The selective entries are the ≥10× speedup claim of DESIGN §16 and the
-//! README table; all entries are gated by `bench-diff` against
-//! `bench/baseline.json`.
+//! The selective entries are the index speedup of DESIGN §16 and the
+//! README table, quoted against the linear walker and the label scan;
+//! all entries are gated by `bench-diff` against `bench/baseline.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twq_index::{CostModel, Force, TreeIndex};
 use twq_rw::{execute_plan, plan_query, Evaluator, RewriteCtx};
 use twq_tree::generate::{random_tree, TreeGenConfig};
-use twq_tree::{Tree, Vocab};
+use twq_tree::{Label, NodeSet, Tree, Vocab};
 use twq_xpath::ast::xb;
 use twq_xpath::{eval_from, XPath};
 
@@ -76,6 +77,13 @@ fn bench(c: &mut Criterion) {
             "index plan diverged"
         );
     }
+    let scan = |s| {
+        tree.node_ids()
+            .skip(1)
+            .filter(|&u| tree.label(u) == Label::Sym(s))
+            .collect::<NodeSet>()
+    };
+    assert_eq!(scan(rare), eval_from(&tree, &q_label, tree.root()));
     let chosen = |q| plan_query(q, &ctx, Some(&idx), &model, Force::Auto).evaluator;
     for q in [&q_label, &q_value] {
         assert_eq!(
@@ -101,6 +109,11 @@ fn bench(c: &mut Criterion) {
             bch.iter(|| run(q, Force::Index).len())
         });
     };
+    group.bench_with_input(
+        BenchmarkId::new("selective_label", "scan"),
+        &rare,
+        |bch, &s| bch.iter(|| scan(s).len()),
+    );
     walk_vs_index(&mut group, "selective_label", &q_label);
     walk_vs_index(&mut group, "selective_value", &q_value);
 

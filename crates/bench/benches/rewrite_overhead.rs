@@ -11,9 +11,11 @@
 //!   evaluator vs. the certified one-pass evaluator whose state is
 //!   bounded by `max_depth_state`.
 //!
-//! The analysis must stay cheap relative to a single evaluation over a
-//! modest tree, and evaluating the normal form must not regress the
-//! direct path — both are gated by `bench-diff` against `bench/baseline.json`.
+//! On the 200-node tree a `rewrite()` pass costs more than walking the
+//! query (`eval/rewritten` is mostly analysis), and on the 512-chain the
+//! relational walk beats the one-pass evaluator; which evaluator the
+//! planner should prefer is ROADMAP item 3. Every row is gated by
+//! `bench-diff` against `bench/baseline.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twq_bench::Bench;

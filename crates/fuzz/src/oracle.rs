@@ -13,6 +13,7 @@
 //! | serial `select_in(guard)` vs `pool.scoped(select_in(guard))` | `Ok` set / trip reason, per node |
 //! | `eval_sentence` vs `eval_sentence(normalize_formula(φ))` | boolean verdict |
 //! | `select` vs `select(normalize_formula(φ))` vs `normalize_exists(φ).select` | node sets, every context node |
+//! | `eval_from` vs `compile(p).select` | node sets, every context node, against the FO(∃*) translation |
 //! | `eval_from` vs `eval_from(normal form)` | node sets, every context node |
 //! | `eval_pairs` vs `eval_pairs(normal form)` | the full binary relation |
 //! | `select` vs `fo_select_routed` | node sets, every context node, fragment-routed |
@@ -43,7 +44,7 @@ use twq_rw::{
     execute_plan, normalize_exists, normalize_formula, plan_query, rewrite_in, RewriteCtx,
 };
 use twq_tree::{DelimTree, NodeId};
-use twq_xpath::{eval_from, eval_pairs, xpath_to_program};
+use twq_xpath::{compile, eval_from, eval_pairs, xpath_to_program};
 
 use crate::gen::{BudgetSpec, FormulaCase, ProgramCase};
 
@@ -489,21 +490,24 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
     }
 
     // 4. The XPath normal form, the index algebra and the planner, when
-    // the source query is known: each must reproduce the naive relational
-    // answers exactly.
+    // the source query is known: each must reproduce the relational
+    // answers exactly — and those must match the query's FO(∃*)
+    // translation, a reference that shares none of the walker's set
+    // algebra. That pair runs first, so a walker bug that both sides of
+    // a walker-vs-walker pair share is still reported.
     if let Some(path) = &case.path {
+        let fo = compile(path);
         let normal = rewrite_in(path, &RewriteCtx::unconstrained()).output;
-        let direct_pairs = eval_pairs(tree, path);
-        let normal_pairs = eval_pairs(tree, &normal);
-        if normal_pairs != direct_pairs {
-            return Some(Discrepancy::new(
-                "eval_pairs vs eval_pairs(normal form)",
-                format!("direct={direct_pairs:?} normalized={normal_pairs:?}"),
-            ));
-        }
         let compiled = compile_xpath(path);
         for &u in &us {
             let direct = eval_from(tree, path, u);
+            let reference = fo.select(tree, u);
+            if reference != direct {
+                return Some(Discrepancy::new(
+                    "eval_from vs compile(p).select",
+                    format!("node {u}: direct={direct:?} fo={reference:?}"),
+                ));
+            }
             let normalized = eval_from(tree, &normal, u);
             if normalized != direct {
                 return Some(Discrepancy::new(
@@ -518,6 +522,14 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
                     format!("node {u}: direct={direct:?} indexed={via_index:?}"),
                 ));
             }
+        }
+        let direct_pairs = eval_pairs(tree, path);
+        let normal_pairs = eval_pairs(tree, &normal);
+        if normal_pairs != direct_pairs {
+            return Some(Discrepancy::new(
+                "eval_pairs vs eval_pairs(normal form)",
+                format!("direct={direct_pairs:?} normalized={normal_pairs:?}"),
+            ));
         }
         // The planner without an index may stream or short-circuit on an
         // Empty certificate; with one, forced walk, forced index and the

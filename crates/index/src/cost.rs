@@ -10,9 +10,10 @@
 //!   count comes from [`twq_xpath::walk_cost`]).
 //!
 //! Index-plan cost and cardinality are estimated bottom-up from postings
-//! lengths and the build-time [`IndexStats`]; walking cost mirrors
-//! `eval_from`'s recursion symbolically. The defaults are measured against
-//! the `index_speedup` bench. Estimates only need to *rank* the two
+//! lengths and the build-time [`IndexStats`]; walking cost mirrors the
+//! former node-at-a-time walker's recursion symbolically (it still prices
+//! that walker, not the linear `eval_from`; see [`twq_xpath::cost`]). The
+//! defaults were measured against the `index_speedup` bench. Estimates only need to *rank* the two
 //! evaluators correctly — both sides are priced with the same crudeness.
 
 use twq_xpath::{walk_cost, WalkParams, XPath};

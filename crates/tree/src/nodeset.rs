@@ -170,6 +170,22 @@ impl NodeSet {
         self.recount();
     }
 
+    /// Keep only the members `keep` accepts, in place: one call per
+    /// member, in ascending order.
+    pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        for (i, w) in self.words.iter_mut().enumerate() {
+            let mut bits = *w;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                if !keep(NodeId((i * BITS) as u32 + b)) {
+                    *w &= !(1u64 << b);
+                }
+            }
+        }
+        self.recount();
+    }
+
     fn recount(&mut self) {
         self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
@@ -305,6 +321,14 @@ mod tests {
         let mut d = u.clone();
         d.difference_with(&b);
         assert_eq!(d.to_vec(), ids(&[1, 100]));
+    }
+
+    #[test]
+    fn retain_filters_across_words() {
+        let mut s: NodeSet = ids(&[0, 5, 63, 64, 65, 130]).into_iter().collect();
+        s.retain(|v| v.0 % 5 == 0 || v.0 == 63);
+        assert_eq!(s.to_vec(), ids(&[0, 5, 63, 65, 130]));
+        assert_eq!(s.len(), 5);
     }
 
     #[test]

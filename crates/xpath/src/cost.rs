@@ -1,7 +1,13 @@
-//! A coarse cost model of [`eval_from`](crate::eval_from)'s recursion.
+//! A coarse cost model of the former node-at-a-time walker.
 //!
-//! The relational evaluator's dominant expense is its descendant handling:
-//! every `Descendant`/`FromDesc` step scans all `n` arena ids and performs
+//! **Stale by design:** [`eval_from`](crate::eval_from) is now
+//! set-at-a-time and linear in the tree, but this estimate still prices
+//! the quadratic recursion it replaced, so the `twq-index` planner's
+//! walk-vs-index decisions stay where they were. Recalibrating it to the
+//! linear walker is ROADMAP item 3.
+//!
+//! That walker's dominant expense was its descendant handling: every
+//! `Descendant`/`FromDesc` step scanned all `n` arena ids and performed
 //! a parent-climbing ancestor test per id, i.e. ~`n · depth/2` link
 //! follows *per context node*, before recursing into roughly one subtree's
 //! worth of nodes. [`walk_cost`] mirrors that recursion symbolically over

@@ -1,9 +1,27 @@
 //! Direct (relational) evaluation of XPath expressions — the reference
 //! semantics the `FO(∃*)` compilation is tested against.
+//!
+//! An expression denotes a binary relation over `Dom(t)` (Section 2.3), so
+//! it is evaluated *set-at-a-time*, one set operation per AST node, as in
+//! the linear-time Core XPath algorithm of Gottlob, Koch & Pichler (VLDB
+//! 2002):
+//!
+//! * the forward image `fwd(p, S) = {y : ∃x ∈ S. (x, y) ∈ p}` maps a
+//!   context set to a result set — a child step is a children kernel, a
+//!   descendant step a strict-descendants kernel, a union a word-wise OR;
+//! * a filter `[q]` keeps the members of the pre-image
+//!   `back(q, T) = {x : fwd(q, {x}) ∩ T ≠ ∅}` of `T = Dom(t)`, built from
+//!   parent and strict-ancestor kernels.
+//!
+//! The kernels rely on the arena numbering every parent before its
+//! children (`parent.idx() < child.idx()`, which `Tree::add_child`
+//! guarantees): a descendants pass is one ascending sweep from the
+//! smallest member that decides each node from its already-decided parent,
+//! and an ancestor climb stops at the first node already collected. Each
+//! kernel is linear in the nodes it touches, so a query costs `O(|p| · n)`.
 
 use std::collections::BTreeSet;
 
-use twq_exec::Pool;
 use twq_guard::{DepthKind, Guard, GuardError, NullGuard, TwqError};
 use twq_obs::{Collector, FoEval, NullCollector};
 use twq_tree::{Label, NodeId, NodeSet, Tree};
@@ -11,20 +29,18 @@ use twq_tree::{Label, NodeId, NodeSet, Tree};
 use crate::ast::{Pred, XPath};
 
 /// All nodes selected by `path` from context node `x`, as a [`NodeSet`]
-/// (iteration in arena order — the same order the former `BTreeSet`
-/// return carried).
+/// (iteration in arena order).
 pub fn eval_from(tree: &Tree, path: &XPath, x: NodeId) -> NodeSet {
-    eval_from_inner(tree, path, x, &mut NullCollector, &mut NullGuard)
-        .expect("NullGuard never trips")
+    eval_from_in(tree, path, x, &mut NullCollector, &mut NullGuard).expect("NullGuard never trips")
 }
 
-/// [`eval_from`] in an execution context. The collector sees one
-/// [`FoEval::Path`] per subexpression evaluation (including recursive
-/// steps) and one [`FoEval::Pred`] per filter-predicate test, exposing
-/// the relational evaluator's cost profile, plus one axis span per
-/// subexpression carrying its node frontier. The guard is charged one
-/// fuel unit per subexpression evaluation, with expression recursion
-/// (including filter nesting) tracked as [`DepthKind::Query`].
+/// [`eval_from`] in an execution context. Every AST node the evaluator
+/// visits — forward, or backward inside a filter — is one
+/// [`FoEval::Path`] and one axis span carrying the node set it produced;
+/// every filter predicate applied is one [`FoEval::Pred`]. The guard is
+/// charged one fuel unit per AST node visit plus the nodes each kernel or
+/// filter touches, so fuel bounds total work; AST nesting is tracked as
+/// [`DepthKind::Query`].
 pub fn eval_from_in<C: Collector, G: Guard>(
     tree: &Tree,
     path: &XPath,
@@ -32,144 +48,271 @@ pub fn eval_from_in<C: Collector, G: Guard>(
     c: &mut C,
     g: &mut G,
 ) -> Result<NodeSet, TwqError> {
-    eval_from_inner(tree, path, x, c, g).map_err(TwqError::Guard)
+    let mut w = Walk { tree, c, g };
+    let ctx = w.singleton(x);
+    w.fwd(path, ctx).map_err(TwqError::Guard)
 }
 
-/// The stable axis-step name a trace span carries for each [`XPath`]
-/// variant.
-fn axis_name(path: &XPath) -> &'static str {
+/// The stable span names for each [`XPath`] variant: the forward axis
+/// step, and the kernel its pre-image runs.
+fn axis_names(path: &XPath) -> (&'static str, &'static str) {
     match path {
-        XPath::Name(_) => "name",
-        XPath::Wild => "wildcard",
-        XPath::Child(..) => "child",
-        XPath::Descendant(..) => "descendant",
-        XPath::FromRoot(_) => "from-root",
-        XPath::FromDesc(_) => "from-desc",
-        XPath::FromChild(_) => "from-child",
-        XPath::Filter(..) => "filter",
-        XPath::Union(..) => "union",
+        XPath::Name(_) => ("name", "name"),
+        XPath::Wild => ("wildcard", "wildcard"),
+        XPath::Child(..) => ("child", "parent"),
+        XPath::Descendant(..) => ("descendant", "ancestor"),
+        XPath::FromRoot(_) => ("from-root", "to-root"),
+        XPath::FromDesc(_) => ("from-desc", "to-ancestor"),
+        XPath::FromChild(_) => ("from-child", "to-parent"),
+        XPath::Filter(..) => ("filter", "filter"),
+        XPath::Union(..) => ("union", "union"),
     }
 }
 
-fn eval_from_inner<C: Collector, G: Guard>(
-    tree: &Tree,
-    path: &XPath,
-    x: NodeId,
-    c: &mut C,
-    g: &mut G,
-) -> Result<NodeSet, GuardError> {
-    c.fo_eval(FoEval::Path);
-    if G::ENABLED {
-        g.tick()?;
-        g.enter(DepthKind::Query)?;
+/// One evaluation: the tree and the execution context.
+struct Walk<'a, C, G> {
+    tree: &'a Tree,
+    c: &'a mut C,
+    g: &'a mut G,
+}
+
+impl<C: Collector, G: Guard> Walk<'_, C, G> {
+    /// `fwd(path, s)`.
+    fn fwd(&mut self, path: &XPath, s: NodeSet) -> Result<NodeSet, GuardError> {
+        self.visit(axis_names(path).0, |w| w.fwd_step(path, s))
     }
-    if C::ENABLED {
-        c.axis_enter(axis_name(path));
+
+    fn fwd_step(&mut self, path: &XPath, s: NodeSet) -> Result<NodeSet, GuardError> {
+        if s.is_empty() {
+            return Ok(s);
+        }
+        Ok(match path {
+            XPath::Name(sym) => self.keep(s, |t, y| t.label(y) == Label::Sym(*sym))?,
+            XPath::Wild => s,
+            XPath::Child(p1, p2) => {
+                let s = self.fwd(p1, s)?;
+                let s = self.children(&s)?;
+                self.fwd(p2, s)?
+            }
+            XPath::Descendant(p1, p2) => {
+                let s = self.fwd(p1, s)?;
+                let s = self.descendants(&s)?;
+                self.fwd(p2, s)?
+            }
+            XPath::FromRoot(p) => {
+                let root = self.singleton(self.tree.root());
+                self.fwd(p, root)?
+            }
+            XPath::FromDesc(p) => {
+                let s = self.descendants(&s)?;
+                self.fwd(p, s)?
+            }
+            XPath::FromChild(p) => {
+                let s = self.children(&s)?;
+                self.fwd(p, s)?
+            }
+            XPath::Filter(p, q) => {
+                let s = self.fwd(p, s)?;
+                self.holds(q, s)?
+            }
+            XPath::Union(p1, p2) => {
+                let mut out = self.fwd(p1, s.clone())?;
+                out.union_with(&self.fwd(p2, s)?);
+                out
+            }
+        })
     }
-    let out = eval_from_cases(tree, path, x, c, g);
-    if C::ENABLED {
-        // The axis span's frontier is the step's full result node set.
-        let frontier: Vec<u64> = match &out {
-            Ok(s) => s.iter().map(|n| u64::from(n.0)).collect(),
-            Err(_) => Vec::new(),
+
+    /// `back(path, t)`.
+    fn back(&mut self, path: &XPath, t: NodeSet) -> Result<NodeSet, GuardError> {
+        self.visit(axis_names(path).1, |w| w.back_step(path, t))
+    }
+
+    fn back_step(&mut self, path: &XPath, t: NodeSet) -> Result<NodeSet, GuardError> {
+        if t.is_empty() {
+            return Ok(t);
+        }
+        Ok(match path {
+            XPath::Name(sym) => self.keep(t, |tr, y| tr.label(y) == Label::Sym(*sym))?,
+            XPath::Wild => t,
+            XPath::Child(p1, p2) => {
+                let t = self.back(p2, t)?;
+                let t = self.parents(&t)?;
+                self.back(p1, t)?
+            }
+            XPath::Descendant(p1, p2) => {
+                let t = self.back(p2, t)?;
+                let t = self.ancestors(&t)?;
+                self.back(p1, t)?
+            }
+            // `/p` reaches `t` from every context node or from none.
+            XPath::FromRoot(p) => {
+                if self.back(p, t)?.contains(self.tree.root()) {
+                    self.all()
+                } else {
+                    NodeSet::new()
+                }
+            }
+            XPath::FromDesc(p) => {
+                let t = self.back(p, t)?;
+                self.ancestors(&t)?
+            }
+            XPath::FromChild(p) => {
+                let t = self.back(p, t)?;
+                self.parents(&t)?
+            }
+            XPath::Filter(p, q) => {
+                let t = self.holds(q, t)?;
+                self.back(p, t)?
+            }
+            XPath::Union(p1, p2) => {
+                let mut out = self.back(p1, t.clone())?;
+                out.union_with(&self.back(p2, t)?);
+                out
+            }
+        })
+    }
+
+    /// The members of `s` at which `pred` holds.
+    fn holds(&mut self, pred: &Pred, s: NodeSet) -> Result<NodeSet, GuardError> {
+        self.c.fo_eval(FoEval::Pred);
+        if s.is_empty() {
+            return Ok(s);
+        }
+        match pred {
+            Pred::Path(q) => {
+                let all = self.all();
+                let mut sat = self.back(q, all)?;
+                sat.intersect_with(&s);
+                Ok(sat)
+            }
+            Pred::AttrEqConst(a, d) => self.keep(s, |t, y| t.attr(y, *a) == *d),
+            Pred::AttrEqAttr(a, b) => self.keep(s, |t, y| t.attr(y, *a) == t.attr(y, *b)),
+        }
+    }
+
+    /// One AST node visit: a tick, a query-depth level and an axis span
+    /// whose frontier is the node set `f` produces.
+    fn visit(
+        &mut self,
+        axis: &'static str,
+        f: impl FnOnce(&mut Self) -> Result<NodeSet, GuardError>,
+    ) -> Result<NodeSet, GuardError> {
+        self.c.fo_eval(FoEval::Path);
+        if G::ENABLED {
+            self.g.tick()?;
+            self.g.enter(DepthKind::Query)?;
+        }
+        if C::ENABLED {
+            self.c.axis_enter(axis);
+        }
+        let out = f(self);
+        if C::ENABLED {
+            let frontier: Vec<u64> = match &out {
+                Ok(s) => s.iter().map(|n| u64::from(n.0)).collect(),
+                Err(_) => Vec::new(),
+            };
+            self.c.axis_exit(&frontier);
+        }
+        if G::ENABLED {
+            self.g.exit(DepthKind::Query);
+        }
+        out
+    }
+
+    fn charge(&mut self, touched: usize) -> Result<(), GuardError> {
+        if G::ENABLED {
+            self.g.charge(touched as u64)?;
+        }
+        Ok(())
+    }
+
+    fn empty(&self) -> NodeSet {
+        NodeSet::with_capacity(self.tree.len())
+    }
+
+    fn singleton(&self, x: NodeId) -> NodeSet {
+        let mut s = self.empty();
+        s.insert(x);
+        s
+    }
+
+    fn all(&self) -> NodeSet {
+        let mut s = self.empty();
+        s.insert_range(NodeId(0), NodeId(self.tree.len() as u32 - 1));
+        s
+    }
+
+    /// The members of `s` satisfying a per-node test.
+    fn keep(
+        &mut self,
+        mut s: NodeSet,
+        test: impl Fn(&Tree, NodeId) -> bool,
+    ) -> Result<NodeSet, GuardError> {
+        self.charge(s.len())?;
+        s.retain(|y| test(self.tree, y));
+        Ok(s)
+    }
+
+    /// Every child of a member of `s`.
+    fn children(&mut self, s: &NodeSet) -> Result<NodeSet, GuardError> {
+        let mut out = self.empty();
+        for x in s {
+            out.extend(self.tree.children(x));
+        }
+        self.charge(s.len() + out.len())?;
+        Ok(out)
+    }
+
+    /// Every strict descendant of a member of `s`: one ascending arena
+    /// pass from the smallest member. A node is a descendant exactly when
+    /// its parent is a member or a descendant, and its parent — numbered
+    /// lower — was decided first; nodes numbered below every member
+    /// cannot be descendants and are never read. From the root (node 0)
+    /// the answer is every other node, a range fill.
+    fn descendants(&mut self, s: &NodeSet) -> Result<NodeSet, GuardError> {
+        let t = self.tree;
+        let mut out = self.empty();
+        let Some(first) = s.first() else {
+            return Ok(out);
         };
-        c.axis_exit(&frontier);
-    }
-    if G::ENABLED {
-        g.exit(DepthKind::Query);
-    }
-    out
-}
-
-fn eval_from_cases<C: Collector, G: Guard>(
-    tree: &Tree,
-    path: &XPath,
-    x: NodeId,
-    c: &mut C,
-    g: &mut G,
-) -> Result<NodeSet, GuardError> {
-    Ok(match path {
-        XPath::Name(s) => {
-            if tree.label(x) == Label::Sym(*s) {
-                NodeSet::from([x])
-            } else {
-                NodeSet::new()
-            }
+        self.charge(t.len() - first.0 as usize)?;
+        if first == t.root() {
+            out.insert_range(NodeId(1), NodeId(t.len() as u32 - 1));
+            return Ok(out);
         }
-        XPath::Wild => NodeSet::from([x]),
-        XPath::Child(p1, p2) => {
-            let mut out = NodeSet::with_capacity(tree.len());
-            for y in &eval_from_inner(tree, p1, x, c, g)? {
-                for ch in tree.children(y) {
-                    out.union_with(&eval_from_inner(tree, p2, ch, c, g)?);
-                }
-            }
-            out
-        }
-        XPath::Descendant(p1, p2) => {
-            let mut out = NodeSet::with_capacity(tree.len());
-            for y in &eval_from_inner(tree, p1, x, c, g)? {
-                for d in tree.node_ids() {
-                    if tree.is_strict_ancestor(y, d) {
-                        out.union_with(&eval_from_inner(tree, p2, d, c, g)?);
-                    }
-                }
-            }
-            out
-        }
-        XPath::FromRoot(p) => eval_from_inner(tree, p, tree.root(), c, g)?,
-        XPath::FromDesc(p) => {
-            let mut out = NodeSet::with_capacity(tree.len());
-            for d in tree.node_ids() {
-                if tree.is_strict_ancestor(x, d) {
-                    out.union_with(&eval_from_inner(tree, p, d, c, g)?);
-                }
-            }
-            out
-        }
-        XPath::FromChild(p) => {
-            let mut out = NodeSet::with_capacity(tree.len());
-            for ch in tree.children(x) {
-                out.union_with(&eval_from_inner(tree, p, ch, c, g)?);
-            }
-            out
-        }
-        XPath::Filter(p, q) => {
-            let mut out = NodeSet::with_capacity(tree.len());
-            for y in &eval_from_inner(tree, p, x, c, g)? {
-                if pred_holds_inner(tree, q, y, c, g)? {
+        for i in first.0 as usize + 1..t.len() {
+            let y = NodeId(i as u32);
+            if let Some(p) = t.parent(y) {
+                if s.contains(p) || out.contains(p) {
                     out.insert(y);
                 }
             }
-            out
         }
-        XPath::Union(p1, p2) => {
-            let mut out = eval_from_inner(tree, p1, x, c, g)?;
-            out.union_with(&eval_from_inner(tree, p2, x, c, g)?);
-            out
+        Ok(out)
+    }
+
+    /// The parent of every member of `t`.
+    fn parents(&mut self, t: &NodeSet) -> Result<NodeSet, GuardError> {
+        let mut out = self.empty();
+        out.extend(t.iter().filter_map(|y| self.tree.parent(y)));
+        self.charge(t.len())?;
+        Ok(out)
+    }
+
+    /// Every strict ancestor of a member of `t`. A climb stops at the first
+    /// node already collected: its own ancestors were collected with it.
+    fn ancestors(&mut self, t: &NodeSet) -> Result<NodeSet, GuardError> {
+        let mut out = self.empty();
+        for y in t {
+            let mut cur = self.tree.parent(y);
+            while let Some(p) = cur.filter(|&p| out.insert(p)) {
+                cur = self.tree.parent(p);
+            }
         }
-    })
-}
-
-/// Whether a filter predicate holds at node `y`.
-pub fn pred_holds(tree: &Tree, pred: &Pred, y: NodeId) -> bool {
-    pred_holds_inner(tree, pred, y, &mut NullCollector, &mut NullGuard)
-        .expect("NullGuard never trips")
-}
-
-fn pred_holds_inner<C: Collector, G: Guard>(
-    tree: &Tree,
-    pred: &Pred,
-    y: NodeId,
-    c: &mut C,
-    g: &mut G,
-) -> Result<bool, GuardError> {
-    c.fo_eval(FoEval::Pred);
-    Ok(match pred {
-        Pred::Path(p) => !eval_from_inner(tree, p, y, c, g)?.is_empty(),
-        Pred::AttrEqConst(a, d) => tree.attr(y, *a) == *d,
-        Pred::AttrEqAttr(a, b) => tree.attr(y, *a) == tree.attr(y, *b),
-    })
+        self.charge(t.len() + out.len())?;
+        Ok(out)
+    }
 }
 
 /// All (context, selected) pairs — the full binary relation.
@@ -192,15 +335,6 @@ pub fn eval_pairs_in<C: Collector, G: Guard>(
         }
     }
     Ok(out)
-}
-
-/// Batch [`eval_from`]: one selection per context node in `contexts`,
-/// fanned across `pool`, results in `contexts` order. Equivalent to mapping
-/// [`eval_from`] serially — and with a 1-worker pool it *is* that loop. A
-/// governed, observed or profiled batch is `pool.scoped` (or
-/// `pool.scoped_with_stats`) over [`eval_from_in`].
-pub fn select_batch(tree: &Tree, path: &XPath, contexts: &[NodeId], pool: &Pool) -> Vec<NodeSet> {
-    pool.scoped(contexts.len(), |i| eval_from(tree, path, contexts[i]))
 }
 
 #[cfg(test)]
@@ -278,20 +412,6 @@ mod tests {
         let p = parse_xpath("*", &mut v).unwrap();
         for u in t.node_ids() {
             assert_eq!(eval_from(&t, &p, u), NodeSet::from([u]));
-        }
-    }
-
-    #[test]
-    fn select_batch_matches_serial_any_worker_count() {
-        let (mut v, t) = doc();
-        let p = parse_xpath("//author | lib/book[@y=1999]", &mut v).unwrap();
-        let contexts: Vec<NodeId> = t.node_ids().collect();
-        for workers in [1, 3] {
-            let batch = select_batch(&t, &p, &contexts, &Pool::new(workers));
-            assert_eq!(batch.len(), contexts.len());
-            for (i, &x) in contexts.iter().enumerate() {
-                assert_eq!(batch[i], eval_from(&t, &p, x), "workers={workers} x={x:?}");
-            }
         }
     }
 

@@ -3,12 +3,14 @@
 
 use twq::automata::twir::{Cond, Instr, Source, WalkerBuilder};
 use twq::automata::{examples, run_on_tree, Action, Dir, Halt, Limits, TwProgramBuilder};
+use twq::guard::ResourceGuard;
 use twq::logic::exists::selectors;
 use twq::logic::store::sbuild::*;
 use twq::logic::{eval_sentence, parse_fo, MAX_NESTING};
+use twq::obs::NullCollector;
 use twq::rw::{certify, normalize_formula, rewrite, rewrite_in, RewriteCtx};
-use twq::tree::{parse_tree, tree_to_string, Label, Vocab};
-use twq::xpath::{ast::xb, compile, eval_from, parse_xpath};
+use twq::tree::{parse_tree, tree_to_string, Label, Tree, Vocab};
+use twq::xpath::{ast::xb, compile, eval_from, eval_from_in, parse_xpath, XPath};
 
 /// `atp` self-recursion exhausts the nesting budget and reports it.
 #[test]
@@ -295,4 +297,79 @@ fn left_deep_chain_right_associates_in_linear_fires() {
     assert!(fires <= 299, "step-assoc fired {fires} times");
     let right_nested = (1..n).fold(a.clone(), |acc, _| xb::child(a.clone(), acc));
     assert_eq!(rw.output, right_nested);
+}
+
+/// A chain (or, with `fan`, a root with `n − 1` leaf children) of `n`
+/// nodes: the root and every even-numbered node are labelled `a`, the odd
+/// ones `b`; node `i` carries `@x = i mod 2` and `@y = i mod 3`, so the
+/// two collide on every node with `i mod 6 ∈ {0, 1}`.
+fn walk_shape(vocab: &mut Vocab, fan: bool, n: usize) -> Tree {
+    let (a, b) = (vocab.sym("a"), vocab.sym("b"));
+    let (x, y) = (vocab.attr("x"), vocab.attr("y"));
+    let vals: Vec<_> = (0..3).map(|i| vocab.val_int(i)).collect();
+    let mut t = Tree::leaf(a);
+    let mut cur = t.root();
+    for i in 1..n {
+        let parent = if fan { t.root() } else { cur };
+        cur = t.add_sym_child(parent, if i % 2 == 0 { a } else { b });
+        t.set_attr(cur, x, vals[i % 2]);
+        t.set_attr(cur, y, vals[i % 3]);
+    }
+    t
+}
+
+/// The walker's work is linear in the tree, counted rather than timed:
+/// the fuel a guarded walk spends — one unit per AST node visit plus
+/// every node a kernel or filter touches — grows at most 2.5× when a
+/// chain or a fan doubles from 10⁵ to 2·10⁵ nodes.
+#[test]
+fn walk_fuel_doubles_at_most_2_5x_with_the_tree() {
+    let mut vocab = Vocab::new();
+    let queries: Vec<XPath> = ["//a", "//a[b]", "a//b[@x=@y]"]
+        .iter()
+        .map(|q| parse_xpath(q, &mut vocab).unwrap())
+        .collect();
+    for fan in [false, true] {
+        let mut fuel = |n| {
+            let t = walk_shape(&mut vocab, fan, n);
+            queries
+                .iter()
+                .map(|q| {
+                    let mut g = ResourceGuard::unlimited();
+                    eval_from_in(&t, q, t.root(), &mut NullCollector, &mut g).unwrap();
+                    g.stats().ticks
+                })
+                .collect::<Vec<_>>()
+        };
+        let (small, large) = (fuel(100_000), fuel(200_000));
+        for (i, (s, l)) in small.iter().zip(&large).enumerate() {
+            // Every query reads the whole tree at least once.
+            assert!(*s >= 100_000, "fan={fan} query {i}: fuel {s}");
+            assert!(
+                *l as f64 <= 2.5 * *s as f64,
+                "fan={fan} query {i}: fuel {s} at n, {l} at 2n"
+            );
+        }
+    }
+}
+
+/// A million-node chain and fan walk to completion with exact counts —
+/// the walk half of the deep-shapes suite.
+#[test]
+fn million_node_chain_and_fan_walk() {
+    let n = 1_000_000;
+    let mut vocab = Vocab::new();
+    let all_a = parse_xpath("//a", &mut vocab).unwrap();
+    let a_over_b = parse_xpath("//a[b]", &mut vocab).unwrap();
+    let join = parse_xpath("a//b[@x=@y]", &mut vocab).unwrap();
+    let joined = (1..n).filter(|i| i % 6 == 1).count();
+    for fan in [false, true] {
+        let t = walk_shape(&mut vocab, fan, n);
+        let count = |q| eval_from(&t, q, t.root()).len();
+        assert_eq!(count(&all_a), (n - 1) / 2, "fan={fan}");
+        // In the chain every non-root `a` has a `b` child; fan leaves have
+        // no children at all.
+        assert_eq!(count(&a_over_b), if fan { 0 } else { (n - 1) / 2 });
+        assert_eq!(count(&join), joined, "fan={fan}");
+    }
 }

@@ -21,8 +21,8 @@ use twq::rw::{execute_plan, plan_query, Evaluator, RewriteCtx};
 use twq::tree::generate::{
     chain_tree, comb_tree, perfect_tree, random_tree, star_tree, TreeGenConfig,
 };
-use twq::tree::{Label, NodeSet, Tree, Vocab};
-use twq::xpath::{eval_from, random_xpath, XPath, XPathGenConfig};
+use twq::tree::{Label, NodeId, NodeSet, Tree, Vocab};
+use twq::xpath::{eval_from, parse_xpath, random_xpath, XPath, XPathGenConfig};
 
 fn hostile_cfg(vocab: &mut Vocab, nodes: usize, collisions: Option<usize>) -> TreeGenConfig {
     let mut cfg = TreeGenConfig::example32(vocab, nodes, &[1, 2, 3, 4, 5, 6, 7, 8]);
@@ -148,6 +148,65 @@ proptest! {
                 let (got, _) = fo_select_routed(&t, &idx, phi, u);
                 prop_assert_eq!(got, phi.select(&t, u), "context {:?}", u);
             }
+        }
+    }
+}
+
+/// Relabel a shaped tree from `cfg`'s alphabet and draw every attribute
+/// from one shared two-value pool, so shaped trees carry the same label
+/// mix and value collisions as random ones.
+fn decorate(t: &mut Tree, cfg: &TreeGenConfig, seed: u64) {
+    let pool = &cfg.attributes[0].1[..2];
+    let mut state = seed;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize
+    };
+    for i in 0..t.len() {
+        let u = NodeId(i as u32);
+        t.set_label(u, Label::Sym(cfg.symbols[next() % cfg.symbols.len()]));
+        for (a, _) in &cfg.attributes {
+            t.set_attr(u, *a, pool[next() % 2]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The set-at-a-time walker against the index algebra, from every
+    /// context node, on trees large enough that the walker's kernels take
+    /// their early exits (a member inside an already-walked subtree, an
+    /// ancestor climb meeting a collected node) and the sets span several
+    /// `NodeSet` words: random, comb, chain and fan shapes of 63–129
+    /// nodes, and of ~2 000 nodes in a quarter of the cases.
+    #[test]
+    fn walker_matches_index_algebra_on_large_shaped_trees(
+        shape in 0usize..4,
+        size in 63usize..=129,
+        large in 0u32..4,
+        tree_seed in 0u64..1000,
+        path_seed in 0u64..1000,
+    ) {
+        let n = if large == 0 { size + 1900 } else { size };
+        let mut vocab = Vocab::new();
+        let cfg = hostile_cfg(&mut vocab, n, Some(2));
+        let s = cfg.symbols[0];
+        let mut t = match shape {
+            0 => random_tree(&cfg, tree_seed),
+            1 => comb_tree(s, (n - 1) / 2),
+            2 => chain_tree(s, n - 1),
+            _ => star_tree(s, n - 1),
+        };
+        if shape != 0 {
+            decorate(&mut t, &cfg, tree_seed);
+        }
+        assert_index_twins(&t, &random_xpath(&xcfg(&cfg), path_seed));
+        // Filters whose pre-images climb to already-collected ancestors.
+        for q in ["//delta[sigma//delta]", "sigma//*[@a=@b]//delta", "//*[*//sigma[@b=@a]] | delta/sigma"] {
+            assert_index_twins(&t, &parse_xpath(q, &mut vocab).unwrap());
         }
     }
 }
