@@ -13,7 +13,7 @@ use twq_automata::{examples, run_batch, Limits};
 use twq_bench::Bench;
 use twq_exec::Pool;
 use twq_logic::fo::build::*;
-use twq_logic::{eval_sentence, eval_sentence_memo, eval_sentence_par, select, select_memo};
+use twq_logic::{eval_sentence, eval_sentence_memo, select, select_memo};
 use twq_tree::Tree;
 
 fn batch_scaling(c: &mut Criterion) {
@@ -78,8 +78,6 @@ fn memo_speedup(c: &mut Criterion) {
     let sentence = forall(x, implies(leaf(x), closed.clone()));
     let base = eval_sentence(&t, &sentence).unwrap();
     assert_eq!(base, eval_sentence_memo(&t, &sentence).unwrap());
-    let pool = Pool::new(4);
-    assert_eq!(base, eval_sentence_par(&t, &sentence, &pool).unwrap());
 
     let mut group = c.benchmark_group("exec_scaling");
     group.sample_size(10);
@@ -94,9 +92,6 @@ fn memo_speedup(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("sentence", "memo"), |bch| {
         bch.iter(|| eval_sentence_memo(&t, &sentence).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("sentence", "par4"), |bch| {
-        bch.iter(|| eval_sentence_par(&t, &sentence, &pool).unwrap())
     });
     group.finish();
 }

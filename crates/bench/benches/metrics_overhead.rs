@@ -74,7 +74,7 @@ fn bench(c: &mut Criterion) {
     // The zero-cost assertion: with `NullCollector` the instrumented entry
     // point must cost the same as the uninstrumented one. The 2x bound is
     // deliberately generous — it tolerates shared-CI noise while still
-    // catching the failure mode that matters (a registry/sink check
+    // catching the failure mode that matters (a registry check
     // accidentally leaking onto the `C::ENABLED = false` path, which
     // shows up as an integer multiple, not a few percent).
     let t = b.tree(8, &[1], 5);

@@ -1,8 +1,8 @@
 //! # twq-exec — scoped parallel execution
 //!
 //! A small work-stealing thread pool for the batch entry points of the
-//! `twq` workspace (`engine::run_batch`, `logic::select_batch`, a batch
-//! of `xpath::eval_from` as `pool.scoped`, the experiment harness's
+//! `twq` workspace (`engine::run_batch`, a batch of `logic::select_memo`
+//! or `xpath::eval_from` as `pool.scoped`, the experiment harness's
 //! `--jobs`). Vendored in
 //! the same spirit as `crates/rand`/`crates/proptest`/`crates/criterion`:
 //! no external dependencies, exactly the API subset the workspace needs.

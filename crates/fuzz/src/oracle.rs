@@ -8,8 +8,8 @@
 //! | `run` vs `run_routed` | acceptance (skipped on limit halts) |
 //! | `run` vs `run(prune(P))` | acceptance (skipped on limit halts) |
 //! | serial `run_in(guard)` vs `pool.scoped(run_in(guard))` | `Ok` report / trip reason + injected kind, per budget axis |
-//! | `eval_sentence` vs `_memo` vs `_par` | boolean verdict |
-//! | `select` vs `select_memo` vs `select_batch` vs `ExistsFormula::select` | node sets, every context node |
+//! | `eval_sentence` vs `_memo` | boolean verdict |
+//! | `select` vs `select_memo` vs `ExistsFormula::select` | node sets, every context node |
 //! | serial `select_in(guard)` vs `pool.scoped(select_in(guard))` | `Ok` set / trip reason, per node |
 //! | `eval_sentence` vs `eval_sentence(normalize_formula(φ))` | boolean verdict |
 //! | `select` vs `select(normalize_formula(φ))` vs `normalize_exists(φ).select` | node sets, every context node |
@@ -35,10 +35,7 @@ use twq_exec::Pool;
 use twq_guard::{Guard, GuardError, ResourceGuard, TwqError};
 use twq_index::{compile_xpath, eval_plan_from, fo_select_routed, CostModel, Force, TreeIndex};
 use twq_logic::fo::build::exists;
-use twq_logic::{
-    eval_sentence, eval_sentence_memo, eval_sentence_par, select, select_batch, select_in,
-    select_memo,
-};
+use twq_logic::{eval_sentence, eval_sentence_memo, select, select_in, select_memo};
 use twq_obs::{diff as trace_diff, Divergence, NullCollector, Trace, TraceCollector, Verdict};
 use twq_rw::{
     execute_plan, normalize_exists, normalize_formula, plan_query, rewrite_in, RewriteCtx,
@@ -378,7 +375,7 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
     let formula = phi.to_formula();
     let sentence = exists(phi.x(), exists(phi.y(), formula.clone()));
 
-    // 1. Sentence verdict: naive vs memoized vs parallel.
+    // 1. Sentence verdict: naive vs memoized.
     let naive = match eval_sentence(tree, &sentence) {
         Ok(b) => b,
         Err(e) => {
@@ -397,18 +394,9 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
             ))
         }
     }
-    match eval_sentence_par(tree, &sentence, pool) {
-        Ok(b) if b == naive => {}
-        other => {
-            return Some(Discrepancy::new(
-                "eval_sentence vs eval_sentence_par",
-                format!("naive={naive} par={other:?}"),
-            ))
-        }
-    }
 
     // 2. Node selection from every context node: naive recursion vs
-    // memoized vs pooled batch vs the FO(∃*) backtracking selector.
+    // memoized vs the FO(∃*) backtracking selector.
     let us: Vec<NodeId> = tree.node_ids().collect();
     let serial: Vec<_> = us
         .iter()
@@ -431,15 +419,6 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
                 "select vs ExistsFormula::select",
                 format!("node {u}: naive={:?} backtracking={direct:?}", serial[i]),
             ));
-        }
-    }
-    match select_batch(tree, &formula, phi.x(), &us, phi.y(), pool) {
-        Ok(batch) if batch == serial => {}
-        other => {
-            return Some(Discrepancy::new(
-                "select vs select_batch",
-                format!("serial={serial:?} batch={other:?}"),
-            ))
         }
     }
 

@@ -1,7 +1,7 @@
 //! Cross-worker governance: an atomic fuel pool and the guard that
 //! shares it.
 //!
-//! The batch entry points (`engine::run_batch`, `logic::select_batch`, …)
+//! The batch entry points (`engine::run_batch`, `pool.scoped` batches, …)
 //! fan work across a thread pool, but a budget of `n` units should mean
 //! *`n` units total*, not `n` per worker. [`SharedBudget`] is the atomic
 //! counterpart of [`Budget`](crate::Budget): clones share one counter, and

@@ -13,8 +13,7 @@
 //!   by `atp` and as the abstraction of XPath);
 //! * [`store`] — finite relations over `D`, the relational store, and
 //!   active-domain FO evaluation for guards `ξ` and updates `ψ`;
-//! * [`memo`] — memoized FO evaluation (subformula caching) and the
-//!   parallel batch entry points (`select_batch`, `eval_sentence_par`);
+//! * [`memo`] — memoized FO evaluation (subformula caching);
 //! * [`parse`] — a concrete syntax for FO formulas;
 //! * [`mso`] — monadic second-order logic with a naive small-witness
 //!   evaluator (the Proposition 7.2 yardstick);
@@ -33,8 +32,7 @@ pub use eval::{eval_sentence, eval_sentence_in, select, select_in, select_pairs,
 pub use exists::{ExistsError, ExistsFormula};
 pub use fo::{Formula, TreeAtom, Var};
 pub use memo::{
-    eval_sentence_memo, eval_sentence_memo_in, eval_sentence_par, select_batch, select_memo,
-    select_memo_in, MemoCache, MemoFormula,
+    eval_sentence_memo, eval_sentence_memo_in, select_memo, select_memo_in, MemoCache, MemoFormula,
 };
 pub use mso::{eval_mso, eval_mso_capped, MsoFormula, SetVar};
 pub use parse::{parse_fo, FoParseError, ParsedFormula, MAX_NESTING};

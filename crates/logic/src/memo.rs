@@ -1,4 +1,4 @@
-//! Memoized FO evaluation and the parallel batch entry points.
+//! Memoized FO evaluation.
 //!
 //! The naive evaluator re-enumerates quantifier domains from scratch every
 //! time a subformula is reached — `∃x∃y (A(x) ∧ B(y))` costs `O(n²)` atom
@@ -18,15 +18,12 @@
 //! are immutable during evaluation — a new tree means a new cache
 //! ([`MemoFormula::fresh_cache`]).
 //!
-//! On top of the cache sit the parallel entry points:
-//! [`eval_sentence_par`] fans a top-level quantifier's domain across a
-//! [`Pool`], and [`select_batch`] runs many `select` contexts at once.
-//! Every worker owns a private cache, so no locks sit on the hot path and
-//! results are bit-identical to the serial evaluator's.
+//! A batch of selections is `pool.scoped` over [`select_memo`] (or over
+//! [`select_in`](crate::eval::select_in) when governed): every call owns
+//! a private cache, so no locks sit on the hot path.
 
 use std::collections::HashMap;
 
-use twq_exec::Pool;
 use twq_guard::{Guard, NullGuard, TwqError};
 use twq_obs::{Collector, FoEval, NullCollector};
 use twq_tree::{NodeId, NodeSet, Tree};
@@ -54,7 +51,7 @@ pub struct MemoFormula<'f> {
     root: &'f Formula,
     /// Position-identity map: AST node address → slot index. Addresses are
     /// stored as `usize` so the map (and thus the whole struct) stays
-    /// `Send + Sync` for the pool fan-out; they are never dereferenced.
+    /// `Send + Sync`; they are never dereferenced.
     ids: HashMap<usize, usize>,
     specs: Vec<SlotSpec>,
 }
@@ -342,91 +339,6 @@ pub fn select_memo_in<C: Collector, G: Guard>(
     Ok(out)
 }
 
-/// [`eval_sentence_memo`] with the top-level quantifier's domain fanned
-/// across `pool`. Each worker takes a contiguous chunk of the domain and
-/// its own memo cache; the chunk verdicts combine by OR (`∃`) / AND (`∀`).
-/// Sentences not starting with a quantifier fall back to the serial
-/// memoized evaluator.
-///
-/// Unlike the serial evaluator, the fan-out does not short-circuit across
-/// chunks — it trades wasted work on witnesses found early for wall-clock
-/// on the witness-less majority of bindings.
-///
-/// # Errors
-/// [`TwqError::Invalid`] if the formula has free variables.
-pub fn eval_sentence_par(tree: &Tree, formula: &Formula, pool: &Pool) -> Result<bool, TwqError> {
-    let free = formula.free_vars();
-    if !free.is_empty() {
-        return Err(TwqError::invalid(
-            "logic::eval_sentence_par",
-            format!("requires a sentence; free vars: {free:?}"),
-        ));
-    }
-    let (v, body, exists) = match formula {
-        Formula::Exists(v, body) => (*v, body.as_ref(), true),
-        Formula::Forall(v, body) => (*v, body.as_ref(), false),
-        _ => return eval_sentence_memo(tree, formula),
-    };
-    let n = tree.len();
-    let workers = pool.workers().min(n.max(1));
-    let chunk = n.div_ceil(workers.max(1)).max(1);
-    let mf = MemoFormula::new(formula);
-    let verdicts = pool.scoped(workers, |k| -> Result<bool, TwqError> {
-        let lo = k * chunk;
-        let hi = ((k + 1) * chunk).min(n);
-        let mut cache = mf.fresh_cache(tree);
-        let mut asg = Assignment::with_capacity(formula.max_var());
-        let mut c = NullCollector;
-        for i in lo..hi {
-            asg.set(v, NodeId(i as u32));
-            let b = eval_memo_inner(
-                tree,
-                &mf,
-                body,
-                &mut asg,
-                &mut cache,
-                &mut c,
-                &mut NullGuard,
-            )?;
-            if b == exists {
-                return Ok(exists);
-            }
-        }
-        Ok(!exists)
-    });
-    let mut out = !exists;
-    for verdict in verdicts {
-        let b = verdict?;
-        if b == exists {
-            out = exists;
-        }
-    }
-    Ok(out)
-}
-
-/// Batch [`select`](crate::eval::select): one memoized selection per
-/// context node in `us`, fanned across `pool`, results in `us` order.
-/// Equivalent to mapping [`select_memo`] over `us` serially — and with a
-/// 1-worker pool it *is* that loop. A governed or profiled batch is
-/// `pool.scoped` (or `pool.scoped_with_stats`) over
-/// [`select_in`](crate::eval::select_in) with a fresh guard per context.
-///
-/// # Errors
-/// As for [`select`](crate::eval::select); the first failing context (in
-/// `us` order) determines the error.
-pub fn select_batch(
-    tree: &Tree,
-    formula: &Formula,
-    x: Var,
-    us: &[NodeId],
-    y: Var,
-    pool: &Pool,
-) -> Result<Vec<NodeSet>, TwqError> {
-    pool.scoped(us.len(), |i| select_memo(tree, formula, x, us[i], y))
-        .into_iter()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,19 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn par_agrees_with_naive_for_any_worker_count() {
-        let t = sample();
-        for workers in [1, 2, 4] {
-            let pool = Pool::new(workers);
-            for f in sentences() {
-                let naive = eval_sentence(&t, &f).unwrap();
-                let par = eval_sentence_par(&t, &f, &pool).unwrap();
-                assert_eq!(naive, par, "workers={workers} {f:?}");
-            }
-        }
-    }
-
-    #[test]
     fn select_memo_agrees_with_select() {
         let t = sample();
         let (x, y, z) = (var(0), var(1), var(2));
@@ -494,21 +393,6 @@ mod tests {
                 let naive = select(&t, phi, x, u, y).unwrap();
                 let memo = select_memo(&t, phi, x, u, y).unwrap();
                 assert_eq!(naive, memo, "u={u:?} {phi:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn select_batch_matches_serial_order_and_contents() {
-        let t = sample();
-        let (x, y) = (var(0), var(1));
-        let phi = and([desc(x, y), leaf(y)]);
-        let us: Vec<NodeId> = t.node_ids().collect();
-        for workers in [1, 3] {
-            let batch = select_batch(&t, &phi, x, &us, y, &Pool::new(workers)).unwrap();
-            assert_eq!(batch.len(), us.len());
-            for (i, &u) in us.iter().enumerate() {
-                assert_eq!(batch[i], select(&t, &phi, x, u, y).unwrap());
             }
         }
     }

@@ -1,19 +1,20 @@
 //! The [`Collector`] trait — the single instrumentation seam every
-//! evaluator threads through its hot loop — and its two implementations.
+//! evaluator threads through its hot loop — and its implementations.
 //!
-//! Evaluators are generic over `C: Collector` and monomorphize twice: the
-//! [`NullCollector`] instantiation compiles every hook to an empty inline
-//! body (`ENABLED = false` additionally gates the few call sites that
-//! would have to *compute* an argument), so the uninstrumented path is
+//! Evaluators are generic over `C: Collector`: the [`NullCollector`]
+//! instantiation compiles every hook to an empty inline body
+//! (`ENABLED = false` additionally gates the few call sites that would
+//! have to *compute* an argument), so the uninstrumented path is
 //! bit-for-bit the original loop. [`MetricsCollector`] pays for exactly
-//! what it records.
+//! what it records. A pair `(A, B)` of collectors is itself a collector
+//! that forwards every hook to `A`, then `B` — e.g. metrics and a
+//! [`TraceCollector`](crate::trace::TraceCollector) on one run.
 
 use std::time::Instant;
 
-use crate::event::{Event, FoEval, HaltKind};
+use crate::event::{FoEval, HaltKind};
 use crate::metrics::RunMetrics;
 use crate::registry::Registry;
-use crate::sink::EventSink;
 
 /// Instrumentation hooks. Every method has an empty default body; an
 /// evaluator calls the hooks unconditionally (they cost nothing when
@@ -100,111 +101,61 @@ impl Collector for NullCollector {
     const ENABLED: bool = false;
 }
 
-/// Records [`RunMetrics`] and optionally forwards every event to a sink
-/// and named counters/phases into a session [`Registry`].
-#[derive(Default)]
+/// Records [`RunMetrics`] and optionally forwards named counters/phases
+/// into a session [`Registry`].
+#[derive(Debug, Default)]
 pub struct MetricsCollector<'s> {
     /// The metrics accumulated so far.
     pub metrics: RunMetrics,
-    sink: Option<&'s mut dyn EventSink>,
     registry: Option<&'s mut Registry>,
 }
 
-impl std::fmt::Debug for MetricsCollector<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsCollector")
-            .field("metrics", &self.metrics)
-            .field("sink", &self.sink.is_some())
-            .field("registry", &self.registry.is_some())
-            .finish()
-    }
-}
-
 impl<'s> MetricsCollector<'s> {
-    /// Metrics only, no event forwarding.
+    /// Metrics only.
     pub fn new() -> MetricsCollector<'static> {
         MetricsCollector {
             metrics: RunMetrics::new(),
-            sink: None,
-            registry: None,
-        }
-    }
-
-    /// Metrics plus event forwarding into `sink`.
-    pub fn with_sink(sink: &'s mut dyn EventSink) -> MetricsCollector<'s> {
-        MetricsCollector {
-            metrics: RunMetrics::new(),
-            sink: Some(sink),
             registry: None,
         }
     }
 
     /// Metrics plus session-level aggregation into `registry`: named
     /// counters land under their own name, phase durations under
-    /// `phase/<name>` (as nanosecond histograms). Combine with a sink via
-    /// [`MetricsCollector::and_registry`].
+    /// `phase/<name>` (as nanosecond histograms).
     pub fn with_registry(registry: &'s mut Registry) -> MetricsCollector<'s> {
         MetricsCollector {
             metrics: RunMetrics::new(),
-            sink: None,
             registry: Some(registry),
         }
-    }
-
-    /// Attach a registry to an existing collector (builder-style).
-    pub fn and_registry(mut self, registry: &'s mut Registry) -> MetricsCollector<'s> {
-        self.registry = Some(registry);
-        self
     }
 
     /// Consume the collector, returning the metrics.
     pub fn into_metrics(self) -> RunMetrics {
         self.metrics
     }
-
-    fn emit(&mut self, ev: Event) {
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.emit(&ev);
-        }
-    }
 }
 
 impl Collector for MetricsCollector<'_> {
-    fn chain_enter(&mut self, node: u64, state: u32, depth: u32) {
+    fn chain_enter(&mut self, _node: u64, _state: u32, depth: u32) {
         self.metrics.chains += 1;
         if depth > 0 {
             self.metrics.subcomputations += 1;
         }
         self.metrics.max_atp_depth = self.metrics.max_atp_depth.max(depth);
-        self.emit(Event::ChainEnter { depth, node, state });
     }
 
-    fn chain_exit(&mut self, halt: HaltKind, depth: u32) {
-        self.emit(Event::ChainExit { depth, halt });
-    }
-
-    fn step(&mut self, node: u64, state: u32, depth: u32) {
+    fn step(&mut self, _node: u64, state: u32, _depth: u32) {
         self.metrics.steps += 1;
         let q = state as usize;
         if q >= self.metrics.steps_per_state.len() {
             self.metrics.steps_per_state.resize(q + 1, 0);
         }
         self.metrics.steps_per_state[q] += 1;
-        self.emit(Event::Step { depth, node, state });
     }
 
-    fn atp_enter(&mut self, node: u64, fanout: usize, depth: u32) {
+    fn atp_enter(&mut self, _node: u64, fanout: usize, _depth: u32) {
         self.metrics.atp_calls += 1;
         self.metrics.max_atp_fanout = self.metrics.max_atp_fanout.max(fanout);
-        self.emit(Event::AtpEnter {
-            depth,
-            node,
-            fanout: u32::try_from(fanout).unwrap_or(u32::MAX),
-        });
-    }
-
-    fn atp_exit(&mut self, depth: u32) {
-        self.emit(Event::AtpExit { depth });
     }
 
     fn store_size(&mut self, tuples: usize) {
@@ -218,16 +169,14 @@ impl Collector for MetricsCollector<'_> {
 
     fn fo_eval(&mut self, kind: FoEval) {
         self.metrics.fo_evals[kind as usize] += 1;
-        self.emit(Event::Fo { kind });
     }
 
     fn tape_cells(&mut self, cells: usize) {
         self.metrics.max_tape_cells = self.metrics.max_tape_cells.max(cells);
     }
 
-    fn message(&mut self, kind: &'static str) {
+    fn message(&mut self, _kind: &'static str) {
         self.metrics.messages += 1;
-        self.emit(Event::Message { kind });
     }
 
     fn counter(&mut self, name: &'static str, delta: u64) {
@@ -242,11 +191,110 @@ impl Collector for MetricsCollector<'_> {
         if let Some(reg) = self.registry.as_deref_mut() {
             reg.hist_record(&format!("phase/{name}"), nanos);
         }
-        self.emit(Event::Phase { name, nanos });
     }
 
     fn halt(&mut self, halt: HaltKind) {
         self.metrics.halt = Some(halt);
+    }
+}
+
+/// Both collectors observe the run: every hook goes to `A`, then `B`.
+impl<A: Collector, B: Collector> Collector for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    fn chain_enter(&mut self, node: u64, state: u32, depth: u32) {
+        self.0.chain_enter(node, state, depth);
+        self.1.chain_enter(node, state, depth);
+    }
+
+    fn chain_exit(&mut self, halt: HaltKind, depth: u32) {
+        self.0.chain_exit(halt, depth);
+        self.1.chain_exit(halt, depth);
+    }
+
+    fn step(&mut self, node: u64, state: u32, depth: u32) {
+        self.0.step(node, state, depth);
+        self.1.step(node, state, depth);
+    }
+
+    fn atp_enter(&mut self, node: u64, fanout: usize, depth: u32) {
+        self.0.atp_enter(node, fanout, depth);
+        self.1.atp_enter(node, fanout, depth);
+    }
+
+    fn atp_exit(&mut self, depth: u32) {
+        self.0.atp_exit(depth);
+        self.1.atp_exit(depth);
+    }
+
+    fn store_size(&mut self, tuples: usize) {
+        self.0.store_size(tuples);
+        self.1.store_size(tuples);
+    }
+
+    fn cycle_bookkeeping(&mut self, tracked: usize) {
+        self.0.cycle_bookkeeping(tracked);
+        self.1.cycle_bookkeeping(tracked);
+    }
+
+    fn fo_eval(&mut self, kind: FoEval) {
+        self.0.fo_eval(kind);
+        self.1.fo_eval(kind);
+    }
+
+    fn tape_cells(&mut self, cells: usize) {
+        self.0.tape_cells(cells);
+        self.1.tape_cells(cells);
+    }
+
+    fn message(&mut self, kind: &'static str) {
+        self.0.message(kind);
+        self.1.message(kind);
+    }
+
+    fn quant_enter(&mut self, exists: bool, var: u32) {
+        self.0.quant_enter(exists, var);
+        self.1.quant_enter(exists, var);
+    }
+
+    fn quant_exit(&mut self, holds: bool, witness: Option<u64>) {
+        self.0.quant_exit(holds, witness);
+        self.1.quant_exit(holds, witness);
+    }
+
+    fn axis_enter(&mut self, axis: &'static str) {
+        self.0.axis_enter(axis);
+        self.1.axis_enter(axis);
+    }
+
+    fn axis_exit(&mut self, frontier: &[u64]) {
+        self.0.axis_exit(frontier);
+        self.1.axis_exit(frontier);
+    }
+
+    fn selected(&mut self, nodes: &[u64]) {
+        self.0.selected(nodes);
+        self.1.selected(nodes);
+    }
+
+    fn trip(&mut self, reason: &str) {
+        self.0.trip(reason);
+        self.1.trip(reason);
+    }
+
+    fn counter(&mut self, name: &'static str, delta: u64) {
+        self.0.counter(name, delta);
+        self.1.counter(name, delta);
+    }
+
+    fn phase(&mut self, name: &'static str, nanos: u64) {
+        self.0.phase(name, nanos);
+        self.1.phase(name, nanos);
+    }
+
+    fn halt(&mut self, halt: HaltKind) {
+        self.0.halt(halt);
+        self.1.halt(halt);
     }
 }
 
@@ -278,7 +326,6 @@ impl PhaseTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::RingBufferSink;
 
     /// Drive both collectors through the same synthetic run shape.
     fn drive<C: Collector>(c: &mut C) {
@@ -333,19 +380,14 @@ mod tests {
     }
 
     #[test]
-    fn events_flow_into_the_sink() {
-        let mut ring = RingBufferSink::new(64);
-        let mut c = MetricsCollector::with_sink(&mut ring);
-        drive(&mut c);
-        let steps = c.metrics.steps;
-        drop(c);
-        assert!(!ring.is_empty());
-        assert_eq!(
-            ring.events()
-                .filter(|e| matches!(e, Event::Step { .. }))
-                .count() as u64,
-            steps
-        );
+    fn a_pair_forwards_every_hook_to_both() {
+        let mut pair = (MetricsCollector::new(), MetricsCollector::new());
+        drive(&mut pair);
+        let (a, b) = pair;
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(a.metrics.steps, 4);
+        const _: () = assert!(!<(NullCollector, NullCollector)>::ENABLED);
+        const _: () = assert!(<(NullCollector, MetricsCollector<'static>)>::ENABLED);
     }
 
     #[test]
@@ -377,20 +419,6 @@ mod tests {
         // No prefix is added: each name lands exactly as spelled.
         assert_eq!(reg.counter("run/index/plan_indexed"), 0);
         assert_eq!(reg.counter("run/run/twir.states"), 0);
-    }
-
-    #[test]
-    fn fo_events_reach_the_sink() {
-        let mut ring = RingBufferSink::new(64);
-        let mut c = MetricsCollector::with_sink(&mut ring);
-        drive(&mut c);
-        drop(c);
-        assert_eq!(
-            ring.events()
-                .filter(|e| matches!(e, Event::Fo { .. }))
-                .count(),
-            1
-        );
     }
 
     #[test]

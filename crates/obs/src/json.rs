@@ -1,6 +1,6 @@
 //! A minimal JSON value type with a writer and a recursive-descent parser.
 //!
-//! The build environment has no access to crates.io, so the JSONL sinks
+//! The build environment has no access to crates.io, so the JSONL traces
 //! and the machine-readable experiment reports cannot use `serde_json`;
 //! this module implements exactly the subset they need. Object key order
 //! is preserved (objects are association lists), numbers are `i64` when

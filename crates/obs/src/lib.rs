@@ -6,30 +6,31 @@
 //!
 //! * [`Collector`] — the hook trait threaded through the hot loops.
 //!   [`NullCollector`] (`ENABLED = false`) monomorphizes to the
-//!   uninstrumented loop at zero cost; [`MetricsCollector`] records
-//!   [`RunMetrics`] and optionally forwards span-style [`Event`]s to a
-//!   sink.
-//! * [`RunMetrics`] — steps per state, `atp` depth and fan-out,
-//!   register-store and cycle-check high-water marks, FO-evaluation call
-//!   counts, tape cells, protocol messages, phase timings.
-//! * Sinks — [`JsonlSink`] (one JSON object per event), [`RingBufferSink`]
-//!   (the last `N` events, for post-mortems of `Stuck`/`Nondeterministic`
-//!   halts), [`TeeSink`] (fan one stream out to two sinks).
-//! * `twq-prof` — the profiling layer on top of the seam:
-//!   [`Histogram`]/[`DenseHistogram`] (log2-bucketed latencies, exact
-//!   value counts), [`Registry`] (named counters/gauges/histograms with
-//!   delta [`Snapshot`]s and JSONL export), and [`FlameProfiler`] (a
-//!   span-stack self-time profiler over the event stream emitting
-//!   flamegraph-collapsed stacks).
-//! * `twq-trace` — the causal trace layer: [`TraceCollector`] records a
-//!   run as a [`Trace`] span tree with deterministic causal IDs, witness
-//!   valuations, and walk paths; [`diff`] pinpoints the first
-//!   [`Divergence`] between two traces of the same input; and
-//!   [`explain_verdict`] answers "why accepted / why rejected".
+//!   uninstrumented loop at zero cost; a pair `(A, B)` of collectors
+//!   feeds both from one run.
+//! * [`RunMetrics`] via [`MetricsCollector`] — allocation-free counters:
+//!   steps per state, `atp` depth and fan-out, register-store and
+//!   cycle-check high-water marks, FO-evaluation call counts, tape cells,
+//!   protocol messages, phase timings.
+//! * [`Registry`] — session aggregates: named counters/gauges and
+//!   [`Histogram`]/[`DenseHistogram`] latencies (log2-bucketed, exact
+//!   value counts), with delta [`Snapshot`]s and JSONL export.
+//! * [`Trace`] via [`TraceCollector`] — the record of what happened: the
+//!   run as a span tree with deterministic causal IDs, each span's last
+//!   walk steps and FO tallies, witness valuations, and frontiers. Every
+//!   event-level view is a fold over it: the flame profile
+//!   ([`Trace::collapsed_with`], [`Trace::top_self`]), the
+//!   [`post_mortem`] of the decisive span, [`explain_verdict`] ("why
+//!   accepted / why rejected"), and [`diff`], which pinpoints the first
+//!   [`Divergence`] between two traces of the same input.
 //! * [`report`] — the experiment reporting layer: the same stream of
 //!   tables rendered as aligned text or as JSON Lines.
 //! * [`json`] — a small self-contained JSON value/writer/parser (the
 //!   build environment is offline, so no `serde_json`).
+//!
+//! That is the one-model rule: the trace is the only event-level record
+//! of a run. Metrics and the registry keep counts and aggregates, and
+//! every other view of what happened is computed from the trace.
 //!
 //! The crate deliberately depends on nothing, not even the other `twq`
 //! crates: evaluators describe themselves in primitive terms (state ids,
@@ -43,22 +44,18 @@ pub mod event;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod registry;
 pub mod report;
-pub mod sink;
 pub mod trace;
 
 pub use collect::{Collector, MetricsCollector, NullCollector, PhaseTimer};
-pub use event::{Event, FoEval, HaltKind};
+pub use event::{FoEval, HaltKind};
 pub use hist::{DenseHistogram, Histogram};
 pub use json::Json;
 pub use metrics::RunMetrics;
-pub use profile::{FlameProfiler, Frame};
 pub use registry::{Registry, Snapshot};
 pub use report::{col, Cell, Col, HumanReporter, JsonlReporter, Reporter};
-pub use sink::{EventSink, JsonlSink, RingBufferSink, TeeSink};
 pub use trace::{
-    diff, explain_verdict, Divergence, Namer, Span, SpanKind, Trace, TraceCollector, TraceDepth,
-    Verdict,
+    diff, explain_verdict, post_mortem, Divergence, Namer, Span, SpanKind, Trace, TraceCollector,
+    TraceDepth, Verdict,
 };

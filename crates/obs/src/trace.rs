@@ -9,21 +9,29 @@
 //! and `--jobs N` produce byte-identical traces.
 //!
 //! Spans carry semantic provenance beyond structure: the walk path
-//! through the engine (`steps`), atp look-ahead subtree verdicts, FO
-//! quantifier witness valuations (`witness`), xpath axis-step node
-//! frontiers (`frontier`), and guard-trip context (`note`).
+//! through the engine (`steps`, the last steps of each span), per-kind
+//! first-order evaluation tallies (`fo`), atp look-ahead subtree
+//! verdicts, FO quantifier witness valuations (`witness`), xpath
+//! axis-step node frontiers (`frontier`), and guard-trip context (`note`).
 //!
 //! [`diff`] aligns two traces of the same (program, tree) pair in
 //! preorder and pinpoints the first divergent span as a [`Divergence`] —
 //! the machine-readable payload the fuzz oracle embeds in repros.
+//!
+//! The trace is the one event-level record of a run; the other views
+//! are folds over it: [`Trace::collapsed_with`] is the flame profile,
+//! [`post_mortem`] the tail of the decisive span, and [`explain_verdict`]
+//! the evidence for the verdict.
+
+use std::collections::BTreeMap;
 
 use crate::collect::Collector;
-use crate::event::HaltKind;
+use crate::event::{FoEval, HaltKind};
 use crate::json::Json;
 
 /// Default cap on attached spans per trace.
 pub const DEFAULT_MAX_SPANS: usize = 1 << 16;
-/// Default cap on recorded walk steps per span.
+/// Default cap on recorded walk steps per span (the last ones are kept).
 pub const DEFAULT_MAX_STEPS_PER_SPAN: usize = 1 << 12;
 
 /// What a span represents.
@@ -133,11 +141,14 @@ pub struct Span {
     /// The node whose binding decided a quantifier (witness for a true
     /// `∃`, counterexample for a false `∀`).
     pub witness: Option<u64>,
-    /// The walk path `(node, state)` taken inside this span, capped at
-    /// the collector's per-span step limit.
+    /// The walk path `(node, state)` taken inside this span: its last
+    /// steps, at most the collector's per-span step cap of them.
     pub steps: Vec<(u64, u32)>,
-    /// Steps not recorded because the per-span cap was hit.
+    /// Earlier steps not kept because the per-span cap was hit.
     pub steps_dropped: u64,
+    /// First-order evaluations run while this span was the innermost
+    /// open one, indexed by [`FoEval`] discriminant.
+    pub fo: [u64; FoEval::COUNT],
     /// Node frontier this span produced (atp selection, axis result).
     pub frontier: Vec<u64>,
     /// Free-form context (trip reason, batch item label).
@@ -154,6 +165,7 @@ impl Span {
             witness: None,
             steps: Vec::new(),
             steps_dropped: 0,
+            fo: [0; FoEval::COUNT],
             frontier: Vec::new(),
             note: String::new(),
             children: Vec::new(),
@@ -253,6 +265,13 @@ impl Span {
         if self.steps_dropped > 0 {
             fields.push(("steps_dropped", Json::from(self.steps_dropped)));
         }
+        if self.fo.iter().any(|&n| n > 0) {
+            let tallies = FoEval::ALL
+                .iter()
+                .filter(|k| self.fo[**k as usize] > 0)
+                .map(|k| (k.name(), Json::from(self.fo[*k as usize])));
+            fields.push(("fo", Json::obj(tallies)));
+        }
         if !self.frontier.is_empty() {
             let fr: Vec<Json> = self.frontier.iter().map(|n| Json::from(*n)).collect();
             fields.push(("frontier", Json::Arr(fr)));
@@ -332,6 +351,11 @@ impl Span {
                 .collect::<Result<_, String>>()?;
         }
         span.steps_dropped = j.get("steps_dropped").and_then(Json::as_i64).unwrap_or(0) as u64;
+        if let Some(fo) = j.get("fo") {
+            for k in FoEval::ALL {
+                span.fo[k as usize] = fo.get(k.name()).and_then(Json::as_i64).unwrap_or(0) as u64;
+            }
+        }
         if let Some(arr) = j.get("frontier").and_then(Json::as_arr) {
             span.frontier = arr
                 .iter()
@@ -533,14 +557,24 @@ fn render_span(sp: &Span, id: &str, indent: usize, namer: &Namer, out: &mut Stri
     let pad = "  ".repeat(indent);
     out.push_str(&format!("{pad}{id} {}\n", sp.head_with(namer)));
     if !sp.steps.is_empty() {
-        let shown: Vec<String> = sp
-            .steps
+        // A capped span kept its last steps: show the final 24 of them.
+        let skip = if sp.steps_dropped > 0 {
+            sp.steps.len().saturating_sub(24)
+        } else {
+            0
+        };
+        let shown: Vec<String> = sp.steps[skip..]
             .iter()
             .take(24)
             .map(|(n, q)| format!("({}, {})", (namer.node)(*n), (namer.state)(*q)))
             .collect();
-        let mut walk = shown.join(" → ");
-        let hidden = sp.steps.len().saturating_sub(24) as u64 + sp.steps_dropped;
+        let mut walk = String::new();
+        let earlier = sp.steps_dropped + skip as u64;
+        if earlier > 0 {
+            walk.push_str(&format!("… (+{earlier} earlier) → "));
+        }
+        walk.push_str(&shown.join(" → "));
+        let hidden = sp.steps.len() - skip - shown.len();
         if hidden > 0 {
             walk.push_str(&format!(" → … (+{hidden} more)"));
         }
@@ -558,8 +592,8 @@ fn render_span(sp: &Span, id: &str, indent: usize, namer: &Namer, out: &mut Stri
 /// A [`Collector`] that records the run as a span tree.
 ///
 /// Recording is bounded: at most `max_spans` spans are attached per trace
-/// and at most `max_steps_per_span` walk steps per span; overflow is
-/// counted in [`Trace::dropped_spans`] / [`Span::steps_dropped`] rather
+/// and each span keeps its last `max_steps_per_span` walk steps; overflow
+/// is counted in [`Trace::dropped_spans`] / [`Span::steps_dropped`] rather
 /// than growing without bound. The caps are fixed per collector, so
 /// recording stays deterministic.
 #[derive(Debug)]
@@ -603,6 +637,7 @@ impl TraceCollector {
             return; // unbalanced close; keep the root
         }
         let mut sp = self.stack.pop().expect("non-empty stack");
+        self.seal(&mut sp);
         if sp.verdict.is_none() {
             sp.verdict = verdict;
         }
@@ -622,6 +657,16 @@ impl TraceCollector {
         self.stack.last_mut().expect("non-empty stack")
     }
 
+    /// Put a finished span's kept steps back in walk order: once the cap
+    /// is hit, [`Collector::step`] overwrites the oldest kept step in
+    /// place, so the window is rotated by `steps_dropped`.
+    fn seal(&self, sp: &mut Span) {
+        if sp.steps_dropped > 0 && self.max_steps_per_span > 0 {
+            let oldest = sp.steps_dropped % self.max_steps_per_span as u64;
+            sp.steps.rotate_left(oldest as usize);
+        }
+    }
+
     /// Finish recording and return the trace.
     pub fn finish(mut self, label: &str) -> Trace {
         // Close any spans an early return left open (e.g. a guard trip
@@ -629,10 +674,12 @@ impl TraceCollector {
         while self.stack.len() > 1 {
             self.close(None);
         }
+        let mut root = self.stack.pop().expect("root span");
+        self.seal(&mut root);
         Trace {
             label: label.to_owned(),
             depth: TraceDepth::Full,
-            root: self.stack.pop().expect("root span"),
+            root,
             dropped_spans: self.dropped,
         }
     }
@@ -662,8 +709,16 @@ impl Collector for TraceCollector {
         if sp.steps.len() < cap {
             sp.steps.push((node, state));
         } else {
+            if cap > 0 {
+                // Overwrite the oldest kept step; `seal` restores order.
+                sp.steps[(sp.steps_dropped % cap as u64) as usize] = (node, state);
+            }
             sp.steps_dropped += 1;
         }
+    }
+
+    fn fo_eval(&mut self, kind: FoEval) {
+        self.current().fo[kind as usize] += 1;
     }
 
     fn atp_enter(&mut self, node: u64, fanout: usize, _depth: u32) {
@@ -923,6 +978,64 @@ pub fn explain_verdict(trace: &Trace, namer: &Namer) -> String {
     out
 }
 
+/// Whether `sp` is a chain that decides a run whose overall acceptance
+/// is `accepted`: the main chain of an accepted run, or any rejecting
+/// chain otherwise.
+fn is_decisive(sp: &Span, accepted: Option<bool>) -> bool {
+    let SpanKind::Chain { depth, .. } = sp.kind else {
+        return false;
+    };
+    let rejecting = matches!(sp.verdict, Some(Verdict::Halt(h)) if h != HaltKind::Accept);
+    match accepted {
+        Some(true) => depth == 0 && !rejecting,
+        _ => rejecting,
+    }
+}
+
+/// The first decisive chain in preorder, with its causal ID.
+fn decisive_span<'t>(sp: &'t Span, id: &str, accepted: Option<bool>) -> Option<(String, &'t Span)> {
+    if is_decisive(sp, accepted) {
+        return Some((id.to_owned(), sp));
+    }
+    sp.children
+        .iter()
+        .enumerate()
+        .find_map(|(i, child)| decisive_span(child, &format!("{id}.{i}"), accepted))
+}
+
+/// A post-mortem from the trace alone: the causal ID and head of the
+/// first span [`explain_verdict`] treats as decisive (for a stuck walk,
+/// the chain that got stuck), then its last `last` kept steps, oldest
+/// first, and its first-order evaluation tallies.
+pub fn post_mortem(trace: &Trace, namer: &Namer, last: usize) -> String {
+    let accepted = trace.verdict().and_then(|v| v.accepted());
+    let Some((id, sp)) = decisive_span(&trace.root, "r", accepted) else {
+        return "(no decisive span recorded)\n".to_owned();
+    };
+    let mut out = format!("{id} {}\n", sp.head_with(namer));
+    let from = sp.steps.len().saturating_sub(last);
+    let earlier = sp.steps_dropped + from as u64;
+    if earlier > 0 {
+        out.push_str(&format!("… {earlier} earlier step(s)\n"));
+    }
+    for (n, q) in &sp.steps[from..] {
+        out.push_str(&format!(
+            "step ({}, {})\n",
+            (namer.node)(*n),
+            (namer.state)(*q)
+        ));
+    }
+    let tallies: Vec<String> = FoEval::ALL
+        .iter()
+        .filter(|k| sp.fo[**k as usize] > 0)
+        .map(|k| format!("{} {}", k.name(), sp.fo[*k as usize]))
+        .collect();
+    if !tallies.is_empty() {
+        out.push_str(&format!("fo: {}\n", tallies.join(", ")));
+    }
+    out
+}
+
 fn collect_evidence(
     sp: &Span,
     id: &str,
@@ -931,27 +1044,20 @@ fn collect_evidence(
     out: &mut Vec<String>,
 ) {
     match &sp.kind {
-        SpanKind::Chain { depth, .. } => {
-            let rejecting = matches!(sp.verdict, Some(Verdict::Halt(h)) if h != HaltKind::Accept);
-            let decisive = match accepted {
-                Some(true) => *depth == 0 && !rejecting,
-                _ => rejecting,
-            };
-            if decisive {
-                if let Some((n, q)) = sp.steps.last() {
-                    out.push(format!(
-                        "  {id} {}: ended at ({}, {})",
-                        sp.head_with(namer),
-                        (namer.node)(*n),
-                        (namer.state)(*q),
-                    ));
-                } else {
-                    out.push(format!("  {id} {}", sp.head_with(namer)));
-                }
-                // For a rejection, the first rejecting chain suffices.
-                if accepted != Some(true) {
-                    return;
-                }
+        SpanKind::Chain { .. } if is_decisive(sp, accepted) => {
+            if let Some((n, q)) = sp.steps.last() {
+                out.push(format!(
+                    "  {id} {}: ended at ({}, {})",
+                    sp.head_with(namer),
+                    (namer.node)(*n),
+                    (namer.state)(*q),
+                ));
+            } else {
+                out.push(format!("  {id} {}", sp.head_with(namer)));
+            }
+            // For a rejection, the first rejecting chain suffices.
+            if accepted != Some(true) {
+                return;
             }
         }
         SpanKind::Quant { exists, var } => {
@@ -977,6 +1083,118 @@ fn collect_evidence(
     }
     for (i, child) in sp.children.iter().enumerate() {
         collect_evidence(child, &format!("{id}.{i}"), accepted, namer, out);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Flame profile
+// ---------------------------------------------------------------------------
+
+/// One frame of a flame stack: the walking model's own vocabulary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Frame {
+    /// A computation chain, named by the state it started in.
+    Chain(u32),
+    /// An `atp` look-ahead span.
+    Atp,
+    /// A first-order evaluation primitive (leaf frames only).
+    Fo(FoEval),
+}
+
+impl Frame {
+    fn render(&self, namer: &dyn Fn(u32) -> String) -> String {
+        match *self {
+            Frame::Chain(q) => namer(q),
+            Frame::Atp => "atp".to_owned(),
+            Frame::Fo(kind) => format!("fo_{}", kind.name()),
+        }
+    }
+}
+
+fn render_stack(stack: &[Frame], namer: &dyn Fn(u32) -> String) -> String {
+    if stack.is_empty() {
+        return "(root)".to_owned();
+    }
+    let frames: Vec<String> = stack.iter().map(|f| f.render(namer)).collect();
+    frames.join(";")
+}
+
+/// Fold `sp` into self weight per frame stack. Chain and atp spans push
+/// a frame; run, batch, quantifier, axis and trip spans are transparent.
+/// A span's own weight is its step count; each FO tally becomes an
+/// `fo_*` leaf frame under it.
+fn fold_flame(sp: &Span, stack: &mut Vec<Frame>, weights: &mut BTreeMap<Vec<Frame>, u64>) {
+    let framed = match sp.kind {
+        SpanKind::Chain { state, .. } => Some(Frame::Chain(state)),
+        SpanKind::Atp { .. } => Some(Frame::Atp),
+        _ => None,
+    };
+    stack.extend(framed);
+    let steps = sp.steps.len() as u64 + sp.steps_dropped;
+    if steps > 0 {
+        *weights.entry(stack.clone()).or_insert(0) += steps;
+    }
+    for kind in FoEval::ALL {
+        let n = sp.fo[kind as usize];
+        if n > 0 {
+            stack.push(Frame::Fo(kind));
+            *weights.entry(stack.clone()).or_insert(0) += n;
+            stack.pop();
+        }
+    }
+    for child in &sp.children {
+        fold_flame(child, stack, weights);
+    }
+    if framed.is_some() {
+        stack.pop();
+    }
+}
+
+impl Trace {
+    /// Self weight per frame stack, in stack order.
+    fn flame(&self) -> BTreeMap<Vec<Frame>, u64> {
+        let mut weights = BTreeMap::new();
+        fold_flame(&self.root, &mut Vec::new(), &mut weights);
+        weights
+    }
+
+    /// Total flame weight: one sample per recorded engine step or FO
+    /// primitive. Exact while no span was dropped
+    /// ([`Trace::dropped_spans`] is 0).
+    pub fn total_weight(&self) -> u64 {
+        self.flame().values().sum()
+    }
+
+    /// The flame profile as flamegraph-collapsed lines
+    /// (`frame;frame;frame weight`), sorted by stack, with `namer`
+    /// resolving the state ids that name chain frames. `prefix` (plus
+    /// `;`) starts every line when non-empty — used to tag stacks with
+    /// their experiment id when several runs share a file. Weights are
+    /// sample counts, not wall clock, so the profile of a deterministic
+    /// run is byte-identical across machines and worker counts.
+    pub fn collapsed_with(&self, prefix: &str, namer: impl Fn(u32) -> String) -> String {
+        let mut out = String::new();
+        for (stack, w) in self.flame() {
+            if !prefix.is_empty() {
+                out.push_str(prefix);
+                out.push(';');
+            }
+            out.push_str(&render_stack(&stack, &namer));
+            out.push_str(&format!(" {w}\n"));
+        }
+        out
+    }
+
+    /// The `k` stacks with the most self weight, descending (ties broken
+    /// by stack order), rendered with `namer`.
+    pub fn top_self(&self, k: usize, namer: impl Fn(u32) -> String) -> Vec<(String, u64)> {
+        let mut ranked: Vec<(Vec<Frame>, u64)> = self.flame().into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        ranked
+            .into_iter()
+            .map(|(stack, w)| (render_stack(&stack, &namer), w))
+            .collect()
     }
 }
 
@@ -1132,8 +1350,107 @@ mod tests {
         c.chain_exit(HaltKind::Accept, 0);
         let t = c.finish("run");
         let chain = &t.root.children[0];
-        assert_eq!(chain.steps.len(), 3);
+        assert_eq!(chain.steps, vec![(7, 0), (8, 0), (9, 0)], "the last steps");
         assert_eq!(chain.steps_dropped, 7);
+        // The root, sealed by `finish` rather than `close`, keeps its tail too.
+        let mut c = TraceCollector::with_caps(16, 4);
+        for i in 0..6 {
+            c.step(i, 1, 0);
+        }
+        let root = c.finish("run").root;
+        assert_eq!(root.steps, vec![(2, 1), (3, 1), (4, 1), (5, 1)]);
+        assert_eq!(root.steps_dropped, 2);
+    }
+
+    /// A synthetic run: 2 steps in the main chain, an atp spawning one
+    /// subchain with 1 step and an FO guard check, then 1 more main step.
+    fn flame_run() -> Trace {
+        let mut c = TraceCollector::new();
+        c.chain_enter(0, 0, 0);
+        c.step(0, 0, 0);
+        c.step(1, 0, 0);
+        c.atp_enter(1, 1, 0);
+        c.chain_enter(2, 3, 1);
+        c.step(2, 3, 1);
+        c.fo_eval(FoEval::Guard);
+        c.chain_exit(HaltKind::Accept, 1);
+        c.atp_exit(0);
+        c.step(1, 1, 0);
+        c.chain_exit(HaltKind::Accept, 0);
+        c.halt(HaltKind::Accept);
+        c.finish("run")
+    }
+
+    #[test]
+    fn fo_tallies_land_on_the_innermost_span_and_round_trip() {
+        let t = flame_run();
+        let sub = &t.root.children[0].children[0].children[0];
+        assert_eq!(sub.fo[FoEval::Guard as usize], 1);
+        assert_eq!(t.root.children[0].fo, [0; FoEval::COUNT]);
+        let line = t.to_json_line();
+        assert!(line.contains(r#""fo":{"guard":1}"#), "{line}");
+        assert_eq!(
+            line.matches(r#""fo""#).count(),
+            1,
+            "zero tallies are omitted"
+        );
+        assert_eq!(Trace::from_json_line(&line).unwrap(), t);
+        // Cost, not behaviour: `diff` ignores the tallies.
+        let mut other = t.clone();
+        other.root.children[0].fo[FoEval::Atom as usize] = 9;
+        assert_eq!(diff(&t, &other), None);
+    }
+
+    #[test]
+    fn collapsed_stacks_attribute_self_time() {
+        let t = flame_run();
+        assert_eq!(t.total_weight(), 5);
+        let plain = |q: u32| format!("state{q}");
+        assert_eq!(
+            t.collapsed_with("", plain),
+            "state0 3\nstate0;atp;state3 1\nstate0;atp;state3;fo_guard 1\n"
+        );
+        let out = t.collapsed_with("E1", |q| format!("q{q}"));
+        assert!(out.starts_with("E1;q0 3\n"), "{out}");
+        assert!(out.contains("E1;q0;atp;q3;fo_guard 1"), "{out}");
+        // Two runs merged into a batch fold into one profile.
+        let both = Trace::merge_batch("batch", vec![flame_run(), flame_run()]);
+        assert_eq!(both.total_weight(), 10);
+        assert!(both.collapsed_with("", plain).starts_with("state0 6\n"));
+    }
+
+    #[test]
+    fn top_self_ranks() {
+        let t = flame_run();
+        let plain = |q: u32| format!("state{q}");
+        let top = t.top_self(2, plain);
+        assert_eq!(top[0], ("state0".to_owned(), 3));
+        assert_eq!(top[1], ("state0;atp;state3".to_owned(), 1));
+        assert_eq!(t.top_self(10, plain).len(), 3);
+    }
+
+    #[test]
+    fn post_mortem_shows_the_tail_of_the_stuck_chain() {
+        let mut c = TraceCollector::with_caps(16, 4);
+        c.chain_enter(0, 0, 0);
+        for i in 0..10 {
+            c.step(i, 0, 0);
+            c.fo_eval(FoEval::Guard);
+        }
+        c.chain_exit(HaltKind::Stuck, 0);
+        c.halt(HaltKind::Stuck);
+        let t = c.finish("run");
+        let pm = post_mortem(&t, &Namer::plain(), 2);
+        assert_eq!(
+            pm,
+            "r.0 chain d0 start=(n0, q0) [10 step(s)] → halt=stuck\n\
+             … 8 earlier step(s)\n\
+             step (n8, q0)\n\
+             step (n9, q0)\n\
+             fo: guard 10\n"
+        );
+        let why = explain_verdict(&t, &Namer::plain());
+        assert!(why.contains("ended at (n9, q0)"), "{why}");
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! top-k states by interpreter steps — per-state evidence for the
 //! theorem's resource claim. It also times every row of the parallel
 //! sweeps (p50/p90/p99 latency histograms), prints the pool's per-worker
-//! telemetry, surfaces a ring-buffer post-mortem when a profiled run
-//! halts abnormally (`Stuck`/`Nondeterministic` or any guard-limit
-//! halt), and closes with a `PROF` summary of
-//! the session's metric registry. `--flame <path>` (implies `--profile`)
+//! telemetry, prints a post-mortem — the decisive span of the run's causal
+//! trace with its last steps and FO tallies — when a profiled run halts
+//! abnormally (`Stuck`/`Nondeterministic` or a step, depth or space limit
+//! halt), and closes with a `PROF` summary of the session's metric
+//! registry. `--flame <path>` (implies `--profile`)
 //! additionally writes the profiled runs' self-time stacks in
 //! flamegraph-collapsed form (`E1;q0;atp;q_sel 1234`).
 //!
@@ -78,9 +79,8 @@ use twq::index::{compile_xpath, eval_plan_from, CostModel, Force, TreeIndex};
 use twq::logic::types::{count_classes, TypeConfig};
 use twq::logic::{eval_sentence, eval_sentence_in};
 use twq::obs::{
-    col, Cell, FlameProfiler, HaltKind, Histogram, HumanReporter, JsonlReporter, MetricsCollector,
-    NullCollector, Registry, Reporter, RingBufferSink, RunMetrics, TeeSink, Trace, TraceCollector,
-    Verdict,
+    col, post_mortem, Cell, HaltKind, Histogram, HumanReporter, JsonlReporter, MetricsCollector,
+    Namer, NullCollector, Registry, Reporter, RunMetrics, Trace, TraceCollector, Verdict,
 };
 use twq::protocol::{
     at_most_k_values_program, counting_table, encode, encode_shuffled, in_lm, lm_sentence,
@@ -265,40 +265,31 @@ fn pool_telemetry(rep: &mut dyn Reporter, prof: &mut Prof, id: &str, t: &(Histog
 }
 
 /// Everything `--profile` captures from one representative run: the
-/// aggregate metrics, the self-time flame profile, and a short
-/// flight-recorder tail for post-mortems.
+/// aggregate metrics and the causal trace, whose folds give the
+/// self-time flame profile and the post-mortem.
 struct Capture {
     metrics: RunMetrics,
-    flame: FlameProfiler,
-    ring: RingBufferSink,
+    trace: Trace,
 }
 
 impl Capture {
-    /// Run `f` under a collector whose event stream is teed into a flame
-    /// profiler and a ring buffer, then package everything observed.
-    fn collect<R>(f: impl FnOnce(&mut MetricsCollector) -> R) -> (R, Capture) {
-        let mut flame = FlameProfiler::new();
-        let mut ring = RingBufferSink::new(16);
-        let (out, metrics) = {
-            let mut tee = TeeSink::new(&mut flame, &mut ring);
-            let mut mc = MetricsCollector::with_sink(&mut tee);
-            let out = f(&mut mc);
-            (out, mc.into_metrics())
+    /// Run `f` once under a metrics collector paired with a trace
+    /// collector, then package both records.
+    fn collect<R>(f: impl FnOnce(&mut (MetricsCollector, TraceCollector)) -> R) -> (R, Capture) {
+        let mut pair = (MetricsCollector::new(), TraceCollector::new());
+        let out = f(&mut pair);
+        let (mc, tc) = pair;
+        let capture = Capture {
+            metrics: mc.into_metrics(),
+            trace: tc.finish("run"),
         };
-        (
-            out,
-            Capture {
-                metrics,
-                flame,
-                ring,
-            },
-        )
+        (out, capture)
     }
 }
 
 /// Emit one profiled run: the one-line summary, hot states, top self-time
-/// stacks, a ring-buffer post-mortem when the run halted abnormally, plus
-/// the registry and `--flame` feeds.
+/// stacks, a post-mortem of the decisive span when the run halted
+/// abnormally, plus the registry and `--flame` feeds.
 fn emit_capture(
     rep: &mut dyn Reporter,
     prof: &mut Prof,
@@ -310,14 +301,14 @@ fn emit_capture(
     profile_note(rep, what, &cap.metrics);
     hot_states(rep, prog, &cap.metrics, "hot-states");
     let namer = |q: u32| prog.state_name(State(q as u16)).to_owned();
-    if !cap.flame.is_empty() {
+    let total = cap.trace.total_weight();
+    if total > 0 {
         rep.table(
             Some("self-time"),
             2,
             &[col("stack", 44), col("samples", 9), col("share", 7)],
         );
-        let total = cap.flame.total_weight().max(1);
-        for (stack, w) in cap.flame.top_self(5, namer) {
+        for (stack, w) in cap.trace.top_self(5, namer) {
             rep.row(&[
                 Cell::str(stack),
                 w.into(),
@@ -325,11 +316,8 @@ fn emit_capture(
             ]);
         }
     }
-    // Anomalous halts get a flight-recorder dump: stuck walks and
-    // nondeterministic splits (the original post-mortems), and since the
-    // trace layer landed also guard trips — fuel, deadline, and depth
-    // limit halts — which previously vanished into a bare `limit-tripped`
-    // row marker.
+    // Anomalous halts get a post-mortem: stuck walks, nondeterministic
+    // splits, and step, depth and space limit halts.
     if matches!(
         cap.metrics.halt,
         Some(
@@ -341,21 +329,24 @@ fn emit_capture(
         )
     ) {
         rep.note(&format!(
-            "post-mortem ({what}): halted {}, last {} event(s) follow",
+            "post-mortem ({what}): halted {}, decisive span and its last steps follow",
             cap.metrics.halt.map_or("?", |h| h.name()),
-            cap.ring.len()
         ));
-        for line in cap.ring.post_mortem().lines() {
+        let names = Namer {
+            state: &namer,
+            ..Namer::plain()
+        };
+        for line in post_mortem(&cap.trace, &names, 16).lines() {
             rep.note(&format!("  {line}"));
         }
     }
     if prof.flame_path.is_some() {
-        prof.flame.push_str(&cap.flame.collapsed_with(id, namer));
+        prof.flame.push_str(&cap.trace.collapsed_with(id, namer));
     }
     prof.registry
         .counter_add(&format!("run/{id}/steps"), cap.metrics.steps);
     prof.registry
-        .counter_add(&format!("run/{id}/samples"), cap.flame.total_weight());
+        .counter_add(&format!("run/{id}/samples"), total);
 }
 
 /// The closing `PROF` section: everything the session registry

@@ -28,10 +28,11 @@
 //!   Lemma 4.5 communication protocol, the Lemma 4.6 counting argument
 //!   (Section 4);
 //! * [`exec`] — the execution layer: a scoped work-stealing thread pool
-//!   behind the `run_batch`/`select_batch` entry points and the experiment
+//!   behind `run_batch`, every `pool.scoped` batch, and the experiment
 //!   harness's `--jobs`;
-//! * [`obs`] — observability: zero-cost collectors, run metrics,
-//!   span-style event tracing, and the experiment reporting layer;
+//! * [`obs`] — observability: zero-cost collectors, run metrics, causal
+//!   run traces (with flame profiles and post-mortems as folds over
+//!   them), and the experiment reporting layer;
 //! * [`guard`] — resource governance: fuel budgets, deadlines, depth and
 //!   memory guards, the structured `TwqError` taxonomy, and deterministic
 //!   fault injection for chaos testing;

@@ -14,8 +14,7 @@ use twq::exec::Pool;
 use twq::guard::ResourceGuard;
 use twq::logic::eval::{select, select_in};
 use twq::logic::fo::build::exists;
-use twq::logic::select_batch;
-use twq::logic::{eval_sentence, eval_sentence_memo, eval_sentence_par, ExistsFormula};
+use twq::logic::{eval_sentence, eval_sentence_memo, select_memo, ExistsFormula};
 use twq::obs::NullCollector;
 use twq::tree::generate::{random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, NodeId, Tree, Vocab};
@@ -120,8 +119,9 @@ proptest! {
         }
     }
 
-    /// `select_batch` (memoized, pooled) agrees with a serial loop of the
-    /// plain `select` over every context node.
+    /// A batch selection — `pool.scoped` over the memoized `select_memo`,
+    /// one context node per item — agrees with a serial loop of the plain
+    /// `select` over every context node, in order.
     #[test]
     fn select_batch_equals_serial_select(
         tree_seed in 0u64..10_000,
@@ -142,7 +142,11 @@ proptest! {
             .collect();
         for workers in WORKER_COUNTS {
             let pool = Pool::new(workers);
-            let batch = select_batch(&t, &formula, phi.x(), &us, phi.y(), &pool).unwrap();
+            let batch: Vec<_> = pool
+                .scoped(us.len(), |i| select_memo(&t, &formula, phi.x(), us[i], phi.y()))
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .unwrap();
             prop_assert_eq!(&batch, &serial, "workers={}", workers);
         }
     }
@@ -190,8 +194,9 @@ proptest! {
         }
     }
 
-    /// Memoized and pool-parallel sentence evaluation agree with the
-    /// naive evaluator on existentially closed random formulas.
+    /// Memoized sentence evaluation agrees with the naive evaluator on
+    /// existentially closed random formulas, serially and fanned across
+    /// a pool over a batch of trees.
     #[test]
     fn memo_and_par_sentences_equal_naive(
         tree_seed in 0u64..10_000,
@@ -202,18 +207,20 @@ proptest! {
         let Some(phi) = small_formula(&mut vocab, path_seed) else {
             return Ok(());
         };
-        let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[1, 2]);
-        let t = random_tree(&cfg, tree_seed);
+        let trees = tree_batch(&mut vocab, 6, nodes, tree_seed);
         let sentence = exists(phi.x(), exists(phi.y(), phi.to_formula()));
-        let naive = eval_sentence(&t, &sentence).unwrap();
-        prop_assert_eq!(eval_sentence_memo(&t, &sentence).unwrap(), naive);
+        let naive: Vec<bool> = trees
+            .iter()
+            .map(|t| eval_sentence(t, &sentence).unwrap())
+            .collect();
+        for (t, &b) in trees.iter().zip(&naive) {
+            prop_assert_eq!(eval_sentence_memo(t, &sentence).unwrap(), b);
+        }
         for workers in WORKER_COUNTS {
             let pool = Pool::new(workers);
-            prop_assert_eq!(
-                eval_sentence_par(&t, &sentence, &pool).unwrap(),
-                naive,
-                "workers={}", workers
-            );
+            let par: Vec<bool> = pool
+                .scoped(trees.len(), |i| eval_sentence_memo(&trees[i], &sentence).unwrap());
+            prop_assert_eq!(&par, &naive, "workers={}", workers);
         }
     }
 }

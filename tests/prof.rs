@@ -9,8 +9,8 @@ use twq::automata::{examples, run_in, run_with, Limits};
 use twq::exec::Pool;
 use twq::guard::{GuardStats, ResourceGuard};
 use twq::obs::{
-    EventSink, FlameProfiler, Histogram, MetricsCollector, NullCollector, Registry, RunMetrics,
-    Snapshot,
+    Histogram, MetricsCollector, NullCollector, Registry, RunMetrics, Snapshot, Trace,
+    TraceCollector,
 };
 use twq::tree::generate::{random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, Tree, Vocab};
@@ -208,9 +208,10 @@ proptest! {
         }
     }
 
-    /// The flame profiler is deterministic: profiling the same run twice
-    /// yields byte-identical collapsed stacks, and its total weight
-    /// covers at least one sample per interpreter step.
+    /// The flame profile — a fold over the run's causal trace — is
+    /// deterministic: tracing the same run twice yields byte-identical
+    /// collapsed stacks, and its total weight covers at least one sample
+    /// per interpreter step.
     #[test]
     fn flame_profile_is_deterministic(seed in 0u64..200) {
         let mut vocab = Vocab::new();
@@ -219,11 +220,11 @@ proptest! {
         let t = random_tree(&cfg, seed);
         let dt = twq::tree::DelimTree::build(&t);
         let collapse = || {
-            let mut flame = FlameProfiler::new();
-            let mut mc = MetricsCollector::with_sink(&mut flame);
-            twq::automata::run_with(&ex.program, &dt, Limits::default(), &mut mc);
-            let m = mc.into_metrics();
-            (flame.collapsed(), flame.total_weight(), m.steps)
+            let (r, trace) = TraceCollector::record("run", |c| {
+                run_with(&ex.program, &dt, Limits::default(), c)
+            });
+            let plain = |q: u32| format!("state{q}");
+            (trace.collapsed_with("", plain), trace.total_weight(), r.steps)
         };
         let (c1, w1, steps) = collapse();
         let (c2, w2, _) = collapse();
@@ -234,24 +235,42 @@ proptest! {
     }
 }
 
-/// Non-proptest sanity check: a tee'd profiler and ring buffer see the
-/// same stream, so the post-mortem tail is consistent with the profile.
+/// The flame fold of a traced batch — one trace per document, merged in
+/// input order — is the same whether 1 or 4 workers ran the batch, and
+/// its weight is the batch's steps plus FO primitives.
 #[test]
-fn tee_profile_and_ring_agree_on_event_count() {
-    use twq::obs::{Event, RingBufferSink, TeeSink};
-    let mut flame = FlameProfiler::new();
-    let mut ring = RingBufferSink::new(4);
-    {
-        let mut tee = TeeSink::new(&mut flame, &mut ring);
-        for i in 0..10u64 {
-            tee.emit(&Event::Step {
-                depth: 0,
-                node: i,
-                state: 0,
-            });
+fn flame_fold_is_the_same_at_any_worker_count() {
+    let mut vocab = Vocab::new();
+    let ex = examples::example_32(&mut vocab);
+    let cfg = TreeGenConfig::example32(&mut vocab, 24, &[1, 2]);
+    let dts: Vec<DelimTree> = (0..12)
+        .map(|seed| DelimTree::build(&random_tree(&cfg, seed)))
+        .collect();
+    let profile = |workers: usize| {
+        let (metrics, traces): (Vec<RunMetrics>, Vec<Trace>) = Pool::new(workers)
+            .scoped(dts.len(), |i| {
+                let mut pair = (MetricsCollector::new(), TraceCollector::new());
+                run_with(&ex.program, &dts[i], Limits::default(), &mut pair);
+                let (mc, tc) = pair;
+                (mc.into_metrics(), tc.finish("run"))
+            })
+            .into_iter()
+            .unzip();
+        let mut m = RunMetrics::new();
+        for one in &metrics {
+            m.merge(one);
         }
-    }
-    assert_eq!(flame.total_weight(), 10);
-    assert_eq!(ring.len(), 4);
-    assert_eq!(ring.dropped(), 6);
+        (Trace::merge_batch("run_batch", traces), m)
+    };
+    let (t1, m1) = profile(1);
+    let (t4, _) = profile(4);
+    let plain = |q: u32| format!("state{q}");
+    let c1 = t1.collapsed_with("E1", plain);
+    assert!(!c1.is_empty());
+    assert_eq!(c1, t4.collapsed_with("E1", plain));
+    assert_eq!(t1.top_self(5, plain), t4.top_self(5, plain));
+    assert_eq!(
+        t1.total_weight(),
+        m1.steps + m1.fo_evals.iter().sum::<u64>()
+    );
 }

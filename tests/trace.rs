@@ -129,7 +129,8 @@ proptest! {
     }
 
     /// `diff` is reflexive-empty: a trace never diverges from itself,
-    /// nor from its JSON round trip.
+    /// nor from its JSON round trip — which reproduces it exactly, FO
+    /// tallies and kept step tails included.
     #[test]
     fn diff_of_a_trace_with_itself_is_empty(seed in 0u64..500, nodes in 1usize..30) {
         let mut vocab = Vocab::new();
@@ -141,5 +142,6 @@ proptest! {
         prop_assert_eq!(diff(&trace, &trace), None);
         let back = Trace::from_json_line(&trace.to_json_line()).unwrap();
         prop_assert_eq!(diff(&trace, &back), None);
+        prop_assert_eq!(&back, &trace);
     }
 }
